@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import FieldTower, _parity
+from .gf2 import FieldTower, _parity, _reduce_exponent
 
 
 class RepresentationError(ValueError):
@@ -31,8 +31,8 @@ class TracePolynomial:
 
     terms: tuple of (k, c, e) with k in {1, m, n}.  k = n and k = m mean the
     absolute trace of the big field / subfield; k = 1 means c * t^e is
-    already a GF(2) value and is added raw.  Exponents are stored reduced
-    mod 2^n - 1 (with 0^0 = 1 on evaluation).
+    already a GF(2) value and is added raw.  A nonzero exponent is stored
+    reduced into [1, 2^n - 1], so only e = 0 is the constant (0^0 = 1).
     """
 
     m: int
@@ -45,7 +45,7 @@ class TracePolynomial:
         for k, c, e in self.terms:
             if k not in (1, self.m, n):
                 raise ValueError(f"trace degree {k} not in {{1, {self.m}, {n}}}")
-            fixed.append((k, c, e % order if e != 0 else 0))
+            fixed.append((k, c, _reduce_exponent(e, order)))
         object.__setattr__(self, "terms", tuple(fixed))
 
     def __add__(self, other: "TracePolynomial") -> "TracePolynomial":

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boolfun import TracePolynomial
-from .gf2 import FieldTower
+from .gf2 import FieldTower, _reduce_exponent
 
 
 @dataclass(frozen=True)
@@ -186,9 +186,7 @@ def opoly_to_univariate(
     for c, e in F.terms:
         if c == 0:
             continue
-        d = e % sub_order if e != 0 else 0
-        if d == 0 and e != 0:
-            d = sub_order
+        d = _reduce_exponent(e, sub_order)
         if d == 0:
             continue  # constant: a linear contribution, dropped
         if d % 2 == 1 and not allow_odd:

@@ -82,6 +82,20 @@ def _poly_json(tower, poly) -> dict:
     }
 
 
+def _parse_terms(tower, text: str, flag: str) -> list[tuple[int, int]]:
+    """(coefficient, exponent) pairs from JSON like [{"c":"01","e":6}]."""
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"cannot parse {flag} at position {exc.pos}: {exc.msg}") from None
+    if not isinstance(raw, list) or not all(
+        isinstance(t, dict) and isinstance(t.get("c"), str) and isinstance(t.get("e"), int)
+        for t in raw
+    ):
+        raise ValueError(f'{flag} must be a JSON list of {{"c": hex string, "e": integer}}')
+    return [(tower.element_from_hex(t["c"]), t["e"]) for t in raw]
+
+
 _FAMILY_ALIASES = {"cubic": "cubic_family", "trinomial": "trinomial_sum"}
 
 
@@ -154,12 +168,7 @@ def cmd_opoly(args) -> int:
             rec["name"] = entry.name
             records.append(rec)
     else:
-        try:
-            raw = json.loads(args.terms)
-        except json.JSONDecodeError as exc:
-            print(f"cannot parse --terms at position {exc.pos}: {exc.msg}", file=sys.stderr)
-            return 2
-        terms = [(tower.element_from_hex(t["c"]), int(t["e"])) for t in raw]
+        terms = _parse_terms(tower, args.terms, "--terms")
         records.append(_opoly_record(tower, opoly.OPolyMap.from_terms(tower, terms)))
     report = {
         "schema": SCHEMA,
@@ -172,6 +181,8 @@ def cmd_opoly(args) -> int:
 
 
 def cmd_expand(args) -> int:
+    if args.F is None and args.d is None:
+        raise ValueError("expand needs --d or --F")
     t0 = time.perf_counter()
     tower = make_tower(args.m)
     a = _resolve_a(tower, args.a, "expand")
@@ -180,9 +191,7 @@ def cmd_expand(args) -> int:
     ok = True
     records = []
     if args.F:
-        raw = json.loads(args.F)
-        terms = [(tower.element_from_hex(t["c"]), int(t["e"])) for t in raw]
-        F = opoly.OPolyMap.from_terms(tower, terms)
+        F = opoly.OPolyMap.from_terms(tower, _parse_terms(tower, args.F, "--F"))
         poly = bridge.opoly_to_univariate(tower, F, a)
         tt = boolfun.evaluate(tower, poly)
         records.append(

@@ -102,6 +102,17 @@ def smallest_irreducible(degree: int) -> int:
 _TABLE_LIMIT_N = 22  # discrete-log tables only up to 2^22 entries
 
 
+def _reduce_exponent(e: int, order: int) -> int:
+    """Reduce e for x^e in a cyclic group of the given order with 0 adjoined.
+
+    A nonzero e lands in [1, order], never on 0: x^order is 1 for x != 0
+    but 0 for x = 0, so only e = 0 itself means the constant 0^0 = 1.
+    """
+    if e == 0:
+        return 0
+    return (e - 1) % order + 1
+
+
 class FieldTower:
     """GF(2^{2m}) with its GF(2^m) subfield, fixed modulus and generator.
 
@@ -131,8 +142,8 @@ class FieldTower:
         return _poly_mulmod(x, y, self.modulus)
 
     def pow(self, x: int, e: int) -> int:
-        """x^e with e any integer, reduced mod 2^n - 1; 0^0 = 1, 0^e = 0."""
-        e %= self.order
+        """x^e with e any integer; 0^0 = 1 and 0^e = 0 for every e != 0."""
+        e = _reduce_exponent(e, self.order)
         if x == 0:
             return 1 if e == 0 else 0
         r, b = 1, x
@@ -234,12 +245,11 @@ class FieldTower:
         return self._tables
 
     def _pow_all(self, exp, log, xs, e):
-        e %= self.order
-        lg = log[xs]
-        out = exp[(lg * e) % self.order]
+        e = _reduce_exponent(e, self.order)
         if e == 0:
             return np.ones_like(xs)
-        return np.where(lg < 0, 0, out)
+        lg = log[xs]
+        return np.where(lg < 0, 0, exp[(lg * e) % self.order])
 
     # vectorised arithmetic on int64 arrays of encodings
     def pow_vec(self, xs: np.ndarray, e: int) -> np.ndarray:

@@ -353,17 +353,18 @@ def niho_profile(tower: FieldTower, poly: TracePolynomial, r: int) -> dict[int, 
 
 # ---- parameter bundle --------------------------------------------------------
 
-_FAMILIES = (
-    "quadratic",
-    "binomial_3",
-    "binomial_16",
-    "lk",
-    "lk_coeff",
-    "qu_family",
-    "g_lk2",
-    "cubic_family",
-    "trinomial_sum",
-)
+# every family with the FamilyParams fields its constructor cannot do without
+_FAMILIES = {
+    "quadratic": ("a",),
+    "binomial_3": ("b",),
+    "binomial_16": ("b",),
+    "lk": ("a", "r"),
+    "lk_coeff": ("r", "coeffs"),
+    "qu_family": ("r", "c", "I", "J", "a"),
+    "g_lk2": ("J", "a"),
+    "cubic_family": ("I", "J", "a"),
+    "trinomial_sum": ("k", "a"),
+}
 
 
 @dataclass(frozen=True)
@@ -384,7 +385,7 @@ class FamilyParams:
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; choose from {_FAMILIES}")
+            raise ValueError(f"unknown family {self.family!r}; choose from {tuple(_FAMILIES)}")
 
     def to_json(self, tower: FieldTower) -> str:
         enc = tower.element_hex
@@ -423,6 +424,9 @@ class FamilyParams:
 def build(tower: FieldTower, params: FamilyParams) -> TracePolynomial:
     """Dispatch a FamilyParams bundle to its constructor."""
     f = params.family
+    missing = [name for name in _FAMILIES[f] if getattr(params, name) is None]
+    if missing:
+        raise ValueError(f"family {f} needs parameter(s) {', '.join(missing)}")
     if f == "quadratic":
         return build_quadratic(tower, params.a)
     if f == "binomial_3":

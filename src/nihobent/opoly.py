@@ -18,7 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import FieldTower
+from .gf2 import FieldTower, _reduce_exponent
+
+# rows of the interpolation matrix handled per numpy pass: each temporary
+# is this many times 2^m int64 entries (64 KB at m = 7, 1 MB at m = 11)
+_INTERP_BLOCK_ROWS = 64
 
 
 class OPolyMap:
@@ -42,8 +46,8 @@ class OPolyMap:
     def from_terms(cls, tower: FieldTower, terms) -> "OPolyMap":
         """Build the value table from sparse (coefficient, exponent) terms.
 
-        Exponents are reduced mod 2^m - 1 with 0^0 = 1; coefficients must be
-        subfield elements.
+        A nonzero exponent is reduced into [1, 2^m - 1], so only e = 0 is the
+        constant term (0^0 = 1); coefficients must be subfield elements.
         """
         sub_order = (1 << tower.m) - 1
         zs = tower.subfield_elements()
@@ -52,7 +56,7 @@ class OPolyMap:
         for c, e in terms:
             if not tower.in_subfield(c):
                 raise ValueError(f"coefficient {c:#x} is not in the subfield")
-            e = e % sub_order if e != 0 else 0
+            e = _reduce_exponent(e, sub_order)
             fixed.append((c, e))
             table ^= tower.mul_scalar_vec(c, tower.pow_vec(zs, e))
         return cls(tower, table, fixed)
@@ -137,24 +141,34 @@ def interpolate_terms(F: OPolyMap) -> list[tuple[int, int]]:
     """Sparse (coefficient, exponent) form by interpolation over GF(2^m).
 
     Closed form for q = 2^m points: c_0 = F(0), c_j = sum over nonzero a of
-    F(a) a^(q-1-j) for 0 < j < q - 1, c_{q-1} = sum of all values.
+    F(a) a^(q-1-j) for 0 < j < q - 1, c_{q-1} = sum of all values.  Terms
+    come in ascending exponent order; zero coefficients are dropped.
+
+    The middle coefficients are one transform in the log domain of the
+    tower's exp/log tables: the product F(a) a^(q-1-j) is
+    exp[(log F(a) + (q-1-j) log a) mod (2^n - 1)], points with F(a) = 0
+    are skipped, and each row j is XOR-reduced.  The (j, a) matrix is
+    processed _INTERP_BLOCK_ROWS rows at a time: O(q^2) vectorised table
+    lookups in all, with int64 temporaries of _INTERP_BLOCK_ROWS x q
+    entries.
     """
     tower = F.tower
     q = 1 << tower.m
-    zs = tower.subfield_elements()
+    exp, log = tower.tables[:2]
+    vals = F.table[1:]
+    nonzero = vals != 0
+    log_v = log[vals[nonzero]]
+    log_a = log[tower.subfield_elements()[1:][nonzero]]
     terms = []
     c0 = int(F.table[0])
     if c0:
         terms.append((c0, 0))
-    for j in range(1, q - 1):
-        cj = 0
-        for a, v in zip(zs[1:], F.table[1:]):
-            cj ^= tower.mul(int(v), tower.pow(int(a), q - 1 - j))
-        if cj:
-            terms.append((cj, j))
-    ctop = 0
-    for v in F.table:
-        ctop ^= int(v)
+    for start in range(1, q - 1, _INTERP_BLOCK_ROWS):
+        js = np.arange(start, min(start + _INTERP_BLOCK_ROWS, q - 1))
+        logs = (log_v + (q - 1 - js)[:, None] * log_a) % tower.order
+        coeffs = np.bitwise_xor.reduce(exp[logs], axis=1)
+        terms.extend((int(c), int(j)) for c, j in zip(coeffs, js) if c)
+    ctop = int(np.bitwise_xor.reduce(F.table))
     if ctop:
         terms.append((ctop, q - 1))
     return terms

@@ -193,8 +193,11 @@ def test_trace_degree_validation(tower3):
 def test_exponent_storage_reduced(tower3):
     p = TracePolynomial(3, ((6, 1, 64),))
     assert p.terms[0][2] == 1
+    # a nonzero multiple of the order stays nonzero: t^63 is 0 at t = 0
     q = TracePolynomial(3, ((6, 1, 63),))
-    assert q.terms[0][2] == 0
+    assert q.terms[0][2] == 63
+    assert evaluate(tower3, q)[0] == 0
+    assert TracePolynomial(3, ((6, 1, 0),)).terms[0][2] == 0
 
 
 def test_hex_round_trip(tower3):

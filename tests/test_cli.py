@@ -175,3 +175,22 @@ def test_info(capsys):
     tower = make_tower(3)
     assert int.from_bytes(bytes.fromhex(data["tower"]["modulus_hex"]), "little") == 67
     assert data["order"] == tower.order
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("expand", "--m", "5"),
+        ("construct", "--family", "lk", "--m", "5", "--r", "2"),
+        ("opoly", "--m", "5", "--terms", '[{"e":6}]'),
+        ("opoly", "--m", "5", "--terms", '[{"c":"0100"}]'),
+    ],
+    ids=["expand_no_d_or_F", "construct_lk_no_a", "opoly_term_no_c", "opoly_term_no_e"],
+)
+def test_missing_input_is_bad_input(capsys, argv):
+    # exit 2 (bad input) with one error line, never a traceback or exit 1
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1

@@ -119,6 +119,8 @@ def test_pow_exponent_reduction(tower3):
     # conventions at zero
     assert tower3.pow(0, 0) == 1
     assert tower3.pow(0, 5) == 0
+    assert tower3.pow(0, order) == 0
+    assert tower3.pow(0, 2 * order) == 0
     assert tower3.pow(1, order) == 1
 
 
@@ -213,6 +215,7 @@ def test_pow_vec_matches_scalar(tower4):
         fast = tower4.pow_vec(xs, e)
         slow = np.array([tower4.pow(int(x), e) for x in xs])
         assert np.array_equal(fast, slow)
+        assert fast[0] == (1 if e == 0 else 0)
 
 
 def test_find_unit_relative_trace_unflagged(tower4):

@@ -18,6 +18,50 @@ def names(entries):
     return {e.name for e in entries}
 
 
+def scalar_interpolate_terms(F):
+    """Reference interpolation: the closed form, one scalar field product at a time.
+
+    c_0 = F(0), c_j = sum over nonzero a of F(a) a^(q-1-j) for 0 < j < q - 1,
+    c_{q-1} = sum of all values; zero coefficients dropped.  Powers of each a
+    come from repeated multiplication, so no exp/log table is involved.
+    """
+    tower = F.tower
+    q = 1 << tower.m
+    points = []
+    for a, v in zip(tower.subfield_elements()[1:], F.table[1:]):
+        pows = [1]
+        for _ in range(q - 2):
+            pows.append(tower.mul(pows[-1], int(a)))
+        points.append((int(v), pows))
+    terms = []
+    c0 = int(F.table[0])
+    if c0:
+        terms.append((c0, 0))
+    for j in range(1, q - 1):
+        cj = 0
+        for v, pows in points:
+            cj ^= tower.mul(v, pows[q - 1 - j])
+        if cj:
+            terms.append((cj, j))
+    ctop = 0
+    for v in F.table:
+        ctop ^= int(v)
+    if ctop:
+        terms.append((ctop, q - 1))
+    return terms
+
+
+def random_tables(tower, rng, count=3):
+    """Seeded permutations and non-permutations (about 30% zeros) of the subfield."""
+    zs = tower.subfield_elements()
+    size = len(zs)
+    for _ in range(count):
+        yield zs[rng.permutation(size)]
+        table = zs[rng.integers(0, size, size)]
+        table[rng.random(size) < 0.3] = 0
+        yield table
+
+
 def test_frobenius_is_opoly(tower5):
     assert is_opolynomial(OPolyMap.monomial(tower5, 2)).is_opoly
 
@@ -124,6 +168,13 @@ def test_inverse_map_pocket(tower5):
 def test_inverse_map_involution(tower5):
     F = OPolyMap.monomial(tower5, 6)
     assert inverse_map(inverse_map(F)) == F
+    for m in range(2, 11):
+        tower = make_tower(m)
+        rng = np.random.default_rng(3000 + m)
+        zs = tower.subfield_elements()
+        for _ in range(3):
+            F = OPolyMap(tower, zs[rng.permutation(len(zs))])
+            assert inverse_map(inverse_map(F)) == F, m
 
 
 def test_inverse_map_rejects_non_permutation(tower4):
@@ -160,13 +211,33 @@ def test_inverse_and_transform_preserve_opoly(m):
         assert is_opolynomial(inverse_map(F)).is_opoly, entry.name
 
 
-def test_interpolation_round_trip(tower4):
-    rng = np.random.default_rng(0)
-    zs = tower4.subfield_elements()
-    table = zs[rng.permutation(len(zs))]
-    F = OPolyMap(tower4, table)
-    back = OPolyMap.from_terms(tower4, interpolate_terms(F))
-    assert back == F
+@pytest.mark.parametrize("m", list(range(2, 8)))
+def test_interpolation_matches_scalar_reference(m):
+    tower = make_tower(m)
+    rng = np.random.default_rng(1000 + m)
+    maps = [OPolyMap(tower, t) for t in random_tables(tower, rng)]
+    for entry in catalog(m):  # G1, G2 = G1^-1 and G3 = (z G2(1/z))^-1
+        g1 = entry.to_map(tower)
+        g2 = inverse_map(g1)
+        maps += [g1, g2, inverse_map(transform_zFinv(g2))]
+    for F in maps:
+        assert interpolate_terms(F) == scalar_interpolate_terms(F)
+
+
+def test_interpolation_round_trip():
+    # a map whose values do not sum to 0 has a c_{q-1} term, which must
+    # vanish at z = 0 on the rebuild, unlike the constant term
+    indicator_of_zero = np.zeros(8, dtype=np.int64)
+    indicator_of_zero[0] = 1
+    cases = [(make_tower(3), indicator_of_zero)]
+    for m in range(2, 11):
+        tower = make_tower(m)
+        rng = np.random.default_rng(2000 + m)
+        cases += [(tower, table) for table in random_tables(tower, rng)]
+    for tower, table in cases:
+        F = OPolyMap(tower, table)
+        back = OPolyMap.from_terms(tower, interpolate_terms(F))
+        assert back == F, (tower.m, table)
 
 
 def test_interpolation_recovers_monomial(tower5):
