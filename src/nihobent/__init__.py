@@ -18,9 +18,11 @@ from .boolfun import (
     is_affine_difference,
     is_bent,
     nonlinearity,
+    nonlinearity_from_spectrum,
     spectrum_to_csv,
     table_from_hex,
     table_to_hex,
+    verdict_from_spectrum,
     walsh,
     walsh_naive,
 )

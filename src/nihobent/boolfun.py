@@ -6,7 +6,9 @@ arrays of the same length indexed by w.  The fast transform uses the
 standard Walsh-Hadamard butterfly on the sign vector and then permutes the
 output through the Gram matrix of the trace bilinear form, so spectrum[w]
 matches the field-indexed sum over (-1)^(f(x) + Tr_n(wx)) exactly; a naive
-quadratic-time evaluator is kept alongside as a cross-check.
+quadratic-time evaluator is kept alongside as a cross-check.  Bentness and
+nonlinearity can be read off a spectrum already computed, so a report
+needs one transform per function.
 
 All functions are pure; returned arrays are read-only.
 """
@@ -55,11 +57,83 @@ class TracePolynomial:
 
 
 def evaluate(tower: FieldTower, poly: TracePolynomial) -> np.ndarray:
-    """Truth table of the trace polynomial over all t in GF(2^n)."""
+    """Truth table of the trace polynomial over all t in GF(2^n).
+
+    Niho terms (e = 2^s mod 2^m - 1, k = n, or k = m with c t^e in the
+    subfield) cost O(2^m) each: with t = v u, v in GF(2^m)* and u on the
+    unit circle U of order 2^m + 1, their sum is Tr_m(v g(u)), and one
+    O(2^n) pass spreads g over the table.  Every other term takes a full
+    pass of its own.
+    """
     if poly.m != tower.m:
         raise ValueError(f"polynomial is over m={poly.m}, tower has m={tower.m}")
+    m, n, order = tower.m, tower.n, tower.order
+    q = 1 << m
+    exp, log = tower.tables[0], tower.tables[1]
+    js = np.arange(q + 1, dtype=np.int64)  # u_j = gamma^((q-1) j)
+    g = np.zeros(q + 1, dtype=np.int64)
+    rest = []
+    for term in poly.terms:
+        k, c, e = term
+        if c == 0:
+            continue
+        s = _niho_shift(e, q)
+        if k == 1 or s is None:
+            rest.append(term)
+            continue
+        # log of w = c u^e; Tr_m(v^(2^s) x) = Tr_m(v x^(2^(m-s))) for x in GF(2^m)
+        lw = (int(log[c]) + (q - 1) * (js * e % (q + 1))) % order
+        r = 1 << (m - s)
+        if k == n:  # Tr_n(c t^e) = Tr_m(v^(2^s) (w + w^q))
+            g ^= exp[lw * r % order] ^ exp[lw * (q * r % order) % order]
+        elif tower.subfield_mask[exp[lw]].all():
+            g ^= exp[lw * r % order]
+        else:
+            rest.append(term)
+    bits = _polar_table(tower, g)
+    if rest:
+        bits ^= _evaluate_terms(tower, rest)
+    bits.setflags(write=False)
+    return bits
+
+
+def _niho_shift(e: int, q: int) -> int | None:
+    """s with e = 2^s (mod q - 1), or None when e is not a Niho exponent."""
+    r = e % (q - 1)
+    if r == 0 or r & (r - 1):
+        return None
+    return r.bit_length() - 1
+
+
+def _polar_table(tower: FieldTower, g: np.ndarray) -> np.ndarray:
+    """Table of t = v u -> Tr_m(v g(u)), with g indexed by u_j = gamma^((q-1) j).
+
+    Writing log t = (q+1) a + b, gamma^b = gamma^((q+1) i_b) u_(j_b), so
+    column b of the table is the m-sequence Tr_m(gamma^((q+1) x)) shifted by
+    i_b + log_(gamma^(q+1)) g(u_(j_b)), or zero where g(u_(j_b)) = 0.
+    """
+    m, order = tower.m, tower.order
+    q = 1 << m
+    exp, log = tower.tables[0], tower.tables[1]
+    tau = tower.subfield_trace_bits[exp[:: q + 1]]
+    b = np.arange(q + 1, dtype=np.int64)
+    i_b = b * (q >> 1) % (q - 1)  # 2^(m-1) inverts 2 modulo q - 1
+    j_b = -b * ((q >> 1) + 1) % (q + 1)  # 2^(m-1) + 1 inverts 2 modulo q + 1
+    gb = g[j_b]
+    shift = (i_b + np.where(gb == 0, 0, log[gb] // (q + 1))) % (q - 1)
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([tau, tau]), q - 1)
+    cols = windows[shift] * (gb != 0)[:, None].astype(np.uint8)
+    by_log = cols.T.ravel()
+    bits = np.empty(tower.size, dtype=np.uint8)
+    bits[0] = 0
+    bits[1:] = by_log[log[1:]]
+    return bits
+
+
+def _evaluate_terms(tower: FieldTower, terms) -> np.ndarray:
+    """Writable table of a sum of (k, c, e) terms, one full pass per term."""
     bits = np.zeros(tower.size, dtype=np.uint8)
-    for k, c, e in poly.terms:
+    for k, c, e in terms:
         vals = tower.mul_scalar_vec(c, tower.pow_vec(np.arange(tower.size), e))
         if k == tower.n:
             bits ^= tower.trace_bits[vals]
@@ -78,7 +152,6 @@ def evaluate(tower: FieldTower, poly: TracePolynomial) -> np.ndarray:
                     f"raw term (c={c:#x}, e={e}) is not GF(2)-valued at t={t:#x}"
                 )
             bits ^= vals.astype(np.uint8)
-    bits.setflags(write=False)
     return bits
 
 
@@ -174,10 +247,14 @@ class BentVerdict:
 
 def is_bent(tt: np.ndarray, tower: FieldTower | None = None) -> BentVerdict:
     """True iff every spectrum value is +-2^(n/2); witness on failure."""
-    n = _check_table(tt)
+    return verdict_from_spectrum(walsh(tt, tower))
+
+
+def verdict_from_spectrum(spec: np.ndarray) -> BentVerdict:
+    """Bentness read off a Walsh spectrum of length 2^n, n even."""
+    n = _check_table(spec)
     if n % 2 != 0:
         raise ValueError(f"bentness needs an even number of variables, got n={n}")
-    spec = walsh(tt, tower)
     bad = np.nonzero(np.abs(spec) != 1 << (n // 2))[0]
     if len(bad):
         w = int(bad[0])
@@ -188,12 +265,12 @@ def is_bent(tt: np.ndarray, tower: FieldTower | None = None) -> BentVerdict:
 def dual(tt: np.ndarray, tower: FieldTower | None = None) -> np.ndarray:
     """Dual of a bent function: sign pattern of its spectrum."""
     n = _check_table(tt)
-    verdict = is_bent(tt, tower)
+    spec = walsh(tt, tower)
+    verdict = verdict_from_spectrum(spec)
     if not verdict:
         raise ValueError(
             f"dual of a non-bent function (spectrum[{verdict.witness_w}] = {verdict.witness_value})"
         )
-    spec = walsh(tt, tower)
     out = (spec != (1 << (n // 2))).astype(np.uint8)
     out.setflags(write=False)
     return out
@@ -223,8 +300,12 @@ def algebraic_degree(tt: np.ndarray) -> int:
 
 def nonlinearity(tt: np.ndarray, tower: FieldTower | None = None) -> int:
     """Distance to the nearest affine function: 2^(n-1) - max|spectrum|/2."""
-    n = _check_table(tt)
-    spec = walsh(tt, tower)
+    return nonlinearity_from_spectrum(walsh(tt, tower))
+
+
+def nonlinearity_from_spectrum(spec: np.ndarray) -> int:
+    """Nonlinearity read off a Walsh spectrum of length 2^n."""
+    n = _check_table(spec)
     return (1 << (n - 1)) - int(np.abs(spec).max()) // 2
 
 
@@ -252,6 +333,13 @@ def table_from_hex(s: str) -> np.ndarray:
     return bits
 
 
+_CSV_BLOCK = 1 << 14  # rows formatted at a time, so only one block of row strings is alive
+
+
 def spectrum_to_csv(spec: np.ndarray, tower: FieldTower) -> str:
-    lines = [f"{tower.element_hex(w)},{int(v)}" for w, v in enumerate(spec)]
-    return "\n".join(lines) + "\n"
+    """Rows `w_hex,value` in w order, each ending in a newline."""
+    element_hex = tower.element_hex
+    return "".join(
+        "".join(f"{element_hex(w)},{v}\n" for w, v in enumerate(spec[i : i + _CSV_BLOCK].tolist(), i))
+        for i in range(0, len(spec), _CSV_BLOCK)
+    )

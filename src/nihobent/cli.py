@@ -9,7 +9,9 @@ Subcommands:
   info       print the deterministic tower description
 
 Every report is JSON with a top-level "schema": 1.  The process exits 0
-iff all requested checks pass, nonzero otherwise.
+iff all requested checks pass, 1 if a check fails, and 2 on bad input: a
+missing, conflicting or malformed argument, or a table file that cannot be
+read.
 """
 
 from __future__ import annotations
@@ -43,13 +45,15 @@ def _spectrum_summary(spec: np.ndarray) -> dict:
     }
 
 
-def _function_record(tower, tt: np.ndarray, params: dict | None = None) -> dict:
-    spec = boolfun.walsh(tt, tower)
-    verdict = boolfun.is_bent(tt, tower)
+def _function_record(
+    tower, tt: np.ndarray, spec: np.ndarray, params: dict | None = None
+) -> dict:
+    """Verdicts of one function, all read off its one spectrum `spec`."""
+    verdict = boolfun.verdict_from_spectrum(spec)
     rec = {
         "bent": verdict.bent,
         "degree": boolfun.algebraic_degree(tt),
-        "nonlinearity": boolfun.nonlinearity(tt, tower),
+        "nonlinearity": boolfun.nonlinearity_from_spectrum(spec),
         "spectrum": _spectrum_summary(spec),
     }
     if not verdict.bent:
@@ -120,7 +124,9 @@ def cmd_construct(args) -> int:
     )
     poly = niho.build(tower, params)
     tt = boolfun.evaluate(tower, poly)
-    record = _function_record(tower, tt, json.loads(params.to_json(tower)))
+    record = _function_record(
+        tower, tt, boolfun.walsh(tt, tower), json.loads(params.to_json(tower))
+    )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stem = f"{params.family}_m{args.m}"
@@ -190,14 +196,14 @@ def cmd_expand(args) -> int:
     rng = random.Random(args.seed)
     ok = True
     records = []
-    if args.F:
+    if args.F is not None:
         F = opoly.OPolyMap.from_terms(tower, _parse_terms(tower, args.F, "--F"))
         poly = bridge.opoly_to_univariate(tower, F, a)
         tt = boolfun.evaluate(tower, poly)
         records.append(
             {
                 "polynomial": _poly_json(tower, poly),
-                "function": _function_record(tower, tt),
+                "function": _function_record(tower, tt, boolfun.walsh(tt, tower)),
             }
         )
         ok = records[-1]["function"]["bent"]
@@ -317,14 +323,17 @@ def cmd_tables(args) -> int:
 
 def cmd_walsh(args) -> int:
     t0 = time.perf_counter()
-    tt = boolfun.table_from_hex(Path(args.table).read_text().strip())
+    try:
+        text = Path(args.table).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read {args.table}: {exc.strerror}") from None
+    tt = boolfun.table_from_hex(text.strip())
     n = len(tt).bit_length() - 1
     if n % 2 != 0:
-        print(f"table has n = {n} variables; need even n", file=sys.stderr)
-        return 2
+        raise ValueError(f"table has n = {n} variables; need even n")
     tower = make_tower(n // 2)
     spec = boolfun.walsh(tt, tower)
-    record = _function_record(tower, tt)
+    record = _function_record(tower, tt, spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stem = Path(args.table).stem.split(".")[0]
@@ -391,8 +400,9 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("expand", help="bivariate monomial -> univariate form")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--d", type=int)
-    p.add_argument("--F", help="o-polynomial terms JSON")
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--d", type=int)
+    g.add_argument("--F", help="o-polynomial terms JSON")
     p.add_argument("--lambda", dest="lam", help="subfield factor, little-endian hex")
     p.add_argument("--a", default="auto")
     p.add_argument("--check", action="store_true")

@@ -330,18 +330,25 @@ def make_tower(m: int) -> FieldTower:
     return FieldTower(m)
 
 
+_BASIS_BLOCK = 1 << 12  # encodings tested per vectorised step of the basis search
+
+
 def find_unit_relative_trace(tower: FieldTower, require_primitive: bool = False) -> int:
     """Deterministic basis element off the subfield.
 
     Without the flag: smallest encoding a with a + a^(2^m) = 1.  With it:
-    smallest-encoding primitive a with a + a^(2^m) != 0.
+    smallest-encoding primitive a with a + a^(2^m) != 0.  The encodings are
+    tested in ascending blocks over the exp/log tables; a is primitive iff
+    gcd(log a, 2^n - 1) = 1.
     """
-    m = tower.m
-    for a in range(tower.size):
-        t = a ^ tower.frobenius(a, m)
+    exp, log = tower.tables[0], tower.tables[1]
+    for start in range(0, tower.size, _BASIS_BLOCK):
+        a = np.arange(start, min(start + _BASIS_BLOCK, tower.size), dtype=np.int64)
+        t = a ^ tower._pow_all(exp, log, a, 1 << tower.m)
         if require_primitive:
-            if t != 0 and tower.is_primitive(a):
-                return a
-        elif t == 1:
-            return a
+            hit = (t != 0) & (np.gcd(log[a], tower.order) == 1)
+        else:
+            hit = t == 1
+        if hit.any():
+            return int(a[np.argmax(hit)])
     raise RuntimeError("scan exhausted GF(2^n) without a match; tower is inconsistent")

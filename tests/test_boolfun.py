@@ -1,3 +1,6 @@
+import math
+import random
+
 import numpy as np
 import pytest
 
@@ -7,9 +10,17 @@ from nihobent import (
     TracePolynomial,
     algebraic_degree,
     anf,
+    build_binomial,
+    build_cubic_family,
+    build_g_lk2,
+    build_lk,
+    build_lk_coeff,
+    build_qu_family,
     build_quadratic,
+    build_trinomial_sum,
     dual,
     evaluate,
+    find_unit_relative_trace,
     is_affine_difference,
     is_bent,
     make_tower,
@@ -20,6 +31,7 @@ from nihobent import (
     walsh,
     walsh_naive,
 )
+from nihobent.boolfun import _evaluate_terms
 
 AND2 = np.array([0, 0, 0, 1], dtype=np.uint8)  # x1*x2 with index bits as inputs
 
@@ -219,6 +231,14 @@ def test_spectrum_csv_format(tower3):
     w, v = lines[5].split(",")
     assert tower3.element_from_hex(w) == 5
     assert int(v) in (-8, 8)
+    # a spectrum longer than one formatting block: every row, in order, once
+    tower = make_tower(8)
+    spec = np.random.default_rng(8).integers(-256, 257, tower.size)
+    text = spectrum_to_csv(spec, tower)
+    assert text.endswith("\n")
+    rows = text[:-1].split("\n")
+    assert [tower.element_from_hex(r.split(",")[0]) for r in rows] == list(range(tower.size))
+    assert [int(r.split(",")[1]) for r in rows] == spec.tolist()
 
 
 def test_polynomial_addition(tower3):
@@ -226,3 +246,96 @@ def test_polynomial_addition(tower3):
     q = TracePolynomial(3, ((6, 1, 1),))
     both = evaluate(tower3, p + q)
     assert np.array_equal(both, evaluate(tower3, p) ^ evaluate(tower3, q))
+
+
+# ---- polar evaluate against the per-term path -------------------------------
+
+
+def _is_niho(e, m):
+    r = e % ((1 << m) - 1)
+    return r != 0 and r & (r - 1) == 0
+
+
+def _random_terms(tower, rng):
+    """Seeded mix of every kind of term `evaluate` has to handle."""
+    m, n, q, order = tower.m, tower.n, 1 << tower.m, tower.order
+    sub = tower.subfield_elements()
+    nonzero = lambda: rng.randrange(1, tower.size)  # noqa: E731
+    terms = []
+    for _ in range(6):  # Niho Tr_n terms, exponents also past 2^n - 1
+        e = (q - 1) * rng.randrange(3 * (q + 1)) + (1 << rng.randrange(m))
+        terms.append((n, nonzero(), e))
+    for _ in range(3):  # self-conjugate Tr_m terms: c in GF(2^m)*, e = (q+1) 2^s
+        terms.append((m, int(sub[rng.randrange(1, len(sub))]), (q + 1) << rng.randrange(m)))
+    non_niho = [e for e in range(1, min(order, 400)) if not _is_niho(e, m)]
+    for _ in range(2):  # non-Niho exponents, Tr_n and self-conjugate Tr_m
+        terms.append((n, nonzero(), rng.choice(non_niho)))
+    terms.append((m, int(sub[rng.randrange(1, len(sub))]), 3 * (q + 1)))
+    terms += [
+        (n, 0, 1), (m, 0, 3), (1, 0, 5),  # zero coefficients, whatever the term
+        (n, nonzero(), 0), (n, nonzero(), order),  # e = 0 and e = 2^n - 1
+        (m, 1, 0), (m, 1, order),
+        (1, 1, 0), (1, 1, order),  # raw GF(2)-valued terms
+    ]
+    return terms
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+def test_polar_evaluate_matches_per_term(m):
+    tower = make_tower(m)
+    rng = random.Random(4000 + m)
+    terms = _random_terms(tower, rng)
+    for term in terms:
+        poly = TracePolynomial(m, (term,))
+        assert np.array_equal(evaluate(tower, poly), _evaluate_terms(tower, poly.terms)), term
+    rng.shuffle(terms)
+    poly = TracePolynomial(m, tuple(terms))
+    assert np.array_equal(evaluate(tower, poly), _evaluate_terms(tower, poly.terms))
+
+
+def _family_members(tower):
+    m = tower.m
+    a = find_unit_relative_trace(tower)
+    rng = random.Random(m)
+    sub = tower.subfield_elements()
+    members = [
+        build_quadratic(tower, int(sub[rng.randrange(1, len(sub))])),
+        build_binomial(tower, rng.randrange(1, tower.size), "d2_3"),
+        build_lk(tower, a, next(r for r in range(2, m) if math.gcd(r, m) == 1)),
+        build_lk_coeff(tower, 3, [rng.randrange(tower.size) for _ in range(4)]),
+        build_qu_family(tower, r=m - 1, c=1, I=2, J=1, a=a),
+        build_g_lk2(tower, J=1, a=a),
+        build_cubic_family(tower, I=m - 2, J=1, a=a),
+    ]
+    if m % 2 == 0:
+        members.append(build_binomial(tower, rng.randrange(1, tower.size), "d2_16"))
+    elif m > 5:
+        members.append(build_trinomial_sum(tower, (m + 1) // 2, a))
+    return members
+
+
+@pytest.mark.parametrize("m", [5, 6, 7, 9])
+def test_polar_evaluate_matches_per_term_on_families(m):
+    tower = make_tower(m)
+    for poly in _family_members(tower):
+        assert np.array_equal(evaluate(tower, poly), _evaluate_terms(tower, poly.terms))
+
+
+@pytest.mark.parametrize("m", [3, 5, 6])
+def test_polar_evaluate_keeps_representation_error(m):
+    # a Tr_m term off the subfield fails as the per-term path does, same text
+    tower = make_tower(m)
+    q, n = 1 << m, 2 * m
+    off = next(c for c in range(2, tower.size) if not tower.in_subfield(c))
+    cases = [
+        ((m, off, q + 1),),  # Niho exponent, coefficient outside GF(2^m)
+        ((n, 1, q - 1 + 2), (m, 1, 2 * q - 1), (1, 1, 3)),  # Niho e, non-self-conjugate
+        ((1, 1, 3), (m, off, q + 1)),  # the raw term fails first
+    ]
+    for terms in cases:
+        poly = TracePolynomial(m, terms)
+        with pytest.raises(RepresentationError) as fast:
+            evaluate(tower, poly)
+        with pytest.raises(RepresentationError) as slow:
+            _evaluate_terms(tower, poly.terms)
+        assert str(fast.value) == str(slow.value)

@@ -194,3 +194,22 @@ def test_missing_input_is_bad_input(capsys, argv):
     assert out == ""
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+def test_walsh_unreadable_table_is_bad_input(tmp_path, capsys):
+    # a missing file and a directory both exit 2 with one error line
+    for path in (tmp_path / "missing.tt.hex", tmp_path):
+        code, out, err = run(capsys, "walsh", str(path), "--out", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+
+def test_expand_rejects_both_d_and_F(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["expand", "--m", "3", "--d", "5", "--F", '[{"c":"01","e":6}]'])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "not allowed with" in out.err

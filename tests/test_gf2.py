@@ -237,6 +237,29 @@ def test_find_unit_relative_trace_flagged(tower3):
         )
 
 
+def scalar_find_unit_relative_trace(tower, require_primitive=False):
+    """Ascending scalar scan over every encoding; reference oracle for the
+    table-backed find_unit_relative_trace."""
+    m = tower.m
+    for a in range(tower.size):
+        t = a ^ tower.frobenius(a, m)
+        if require_primitive:
+            if t != 0 and tower.is_primitive(a):
+                return a
+        elif t == 1:
+            return a
+    raise RuntimeError("scan exhausted GF(2^n) without a match")
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+@pytest.mark.parametrize("require_primitive", [False, True])
+def test_find_unit_relative_trace_matches_scalar_scan(m, require_primitive):
+    tower = make_tower(m)
+    assert find_unit_relative_trace(tower, require_primitive) == (
+        scalar_find_unit_relative_trace(tower, require_primitive)
+    )
+
+
 def test_serialization_round_trip(tower5):
     data = json.loads(tower5.to_json())
     assert data["m"] == 5
