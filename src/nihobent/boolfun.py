@@ -69,7 +69,7 @@ def evaluate(tower: FieldTower, poly: TracePolynomial) -> np.ndarray:
         raise ValueError(f"polynomial is over m={poly.m}, tower has m={tower.m}")
     m, n, order = tower.m, tower.n, tower.order
     q = 1 << m
-    exp, log = tower.tables[0], tower.tables[1]
+    exp, log = tower.tables.exp, tower.tables.log
     js = np.arange(q + 1, dtype=np.int64)  # u_j = gamma^((q-1) j)
     g = np.zeros(q + 1, dtype=np.int64)
     rest = []
@@ -114,7 +114,7 @@ def _polar_table(tower: FieldTower, g: np.ndarray) -> np.ndarray:
     """
     m, order = tower.m, tower.order
     q = 1 << m
-    exp, log = tower.tables[0], tower.tables[1]
+    exp, log = tower.tables.exp, tower.tables.log
     tau = tower.subfield_trace_bits[exp[:: q + 1]]
     b = np.arange(q + 1, dtype=np.int64)
     i_b = b * (q >> 1) % (q - 1)  # 2^(m-1) inverts 2 modulo q - 1
@@ -156,6 +156,8 @@ def _evaluate_terms(tower: FieldTower, terms) -> np.ndarray:
 
 
 def _check_table(tt: np.ndarray) -> int:
+    if len(tt) == 0:
+        raise ValueError("truth table is empty")
     n = int(len(tt)).bit_length() - 1
     if len(tt) != 1 << n:
         raise ValueError(f"truth table length {len(tt)} is not a power of two")
@@ -176,15 +178,11 @@ def _fwht(signs: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _gram_permutation(tower: FieldTower) -> np.ndarray:
-    # w -> M(w) with Tr_n(w x) = <M(w), x> in the polynomial basis
+    # w -> M(w) with Tr_n(w x) = <M(w), x> in the polynomial basis; the Gram
+    # matrix is Hankel: entry (i, j) is Tr_n(x^i x^j) = Tr_n(x^(i+j))
     n = tower.n
-    cols = []
-    for j in range(n):
-        col = 0
-        for i in range(n):
-            if tower.rel_trace(n, 1, tower.mul(1 << i, 1 << j)):
-                col |= 1 << i
-        cols.append(col)
+    hankel = [int(tower.trace_bits[tower.pow(2, k)]) for k in range(2 * n - 1)]
+    cols = [sum(hankel[i + j] << i for i in range(n)) for j in range(n)]
     gw = np.zeros(tower.size, dtype=np.int64)
     for j in range(n):
         v = gw.reshape(-1, 2 << j)
@@ -214,7 +212,7 @@ def _naive_kernel(tower: FieldTower | None, n: int) -> np.ndarray:
     if tower is None:
         inner = _parity(idx[:, None] & idx[None, :])
     else:
-        exp, log = tower.tables[0], tower.tables[1]
+        exp, log = tower.tables.exp, tower.tables.log
         lsum = log[idx[:, None]] + log[idx[None, :]]
         prod = np.where(
             (log[idx][:, None] < 0) | (log[idx][None, :] < 0), 0, exp[lsum % tower.order]

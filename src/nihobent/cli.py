@@ -10,8 +10,8 @@ Subcommands:
 
 Every report is JSON with a top-level "schema": 1.  The process exits 0
 iff all requested checks pass, 1 if a check fails, and 2 on bad input: a
-missing, conflicting or malformed argument, or a table file that cannot be
-read.
+missing, conflicting or malformed argument, a table file that cannot be
+read, or an output directory that cannot be written.
 """
 
 from __future__ import annotations
@@ -77,6 +77,16 @@ def _resolve_a(tower, spec: str, family: str) -> int:
     return tower.element_from_hex(spec)
 
 
+def _out_dir(path: str) -> Path:
+    """The output directory, made now, so a bad --out fails before any work."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
+    return out
+
+
 def _poly_json(tower, poly) -> dict:
     return {
         "m": poly.m,
@@ -105,6 +115,7 @@ _FAMILY_ALIASES = {"cubic": "cubic_family", "trinomial": "trinomial_sum"}
 
 def cmd_construct(args) -> int:
     t0 = time.perf_counter()
+    out = _out_dir(args.out)
     tower = make_tower(args.m)
     coeffs = None
     if args.coeffs:
@@ -127,8 +138,6 @@ def cmd_construct(args) -> int:
     record = _function_record(
         tower, tt, boolfun.walsh(tt, tower), json.loads(params.to_json(tower))
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     stem = f"{params.family}_m{args.m}"
     (out / f"{stem}.tt.hex").write_text(boolfun.table_to_hex(tt) + "\n")
     (out / f"{stem}.poly.json").write_text(json.dumps(_poly_json(tower, poly), indent=2))
@@ -331,11 +340,10 @@ def cmd_walsh(args) -> int:
     n = len(tt).bit_length() - 1
     if n % 2 != 0:
         raise ValueError(f"table has n = {n} variables; need even n")
+    out = _out_dir(args.out)
     tower = make_tower(n // 2)
     spec = boolfun.walsh(tt, tower)
     record = _function_record(tower, tt, spec)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     stem = Path(args.table).stem.split(".")[0]
     if args.format == "csv":
         path = out / f"{stem}.spectrum.csv"

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import json
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,6 +101,19 @@ def smallest_irreducible(degree: int) -> int:
 
 
 _TABLE_LIMIT_N = 22  # discrete-log tables only up to 2^22 entries
+_EXP_SEED = 256  # powers of the generator computed one by one before doubling
+
+
+class FieldTables(NamedTuple):
+    """Read-only lookup tables of one tower, each indexed as documented."""
+
+    exp: np.ndarray  # int64, i -> g^i for 0 <= i < 2^n - 1
+    log: np.ndarray  # int64, encoding x -> log_g x, -1 at x = 0
+    trace_bits: np.ndarray  # uint8, x -> Tr_n(x)
+    subfield_trace_bits: np.ndarray  # uint8, x -> Tr_m(x) on the subfield (a linear form elsewhere)
+    subfield_mask: np.ndarray  # bool, x -> x in GF(2^m)
+    subfield_elements: np.ndarray  # int64, the 2^m subfield encodings in ascending order
+    subfield_index: np.ndarray  # int64, encoding -> position in subfield_elements, -1 outside
 
 
 def _reduce_exponent(e: int, order: int) -> int:
@@ -194,52 +208,70 @@ class FieldTower:
 
     # ---- cached bulk tables ------------------------------------------------
 
-    def _build_tables(self):
+    def _build_tables(self) -> FieldTables:
         if self.n > _TABLE_LIMIT_N:
             raise ValueError(f"table-backed operations unsupported for n={self.n}")
-        size, order = self.size, self.order
+        m, size, order = self.m, self.size, self.order
+        q = 1 << m
+        # exp by doubling: exp[L:2L] = g^L exp[:L], a GF(2)-linear map of exp[:L]
         exp = np.empty(order, dtype=np.int64)
+        filled = min(order, _EXP_SEED)
         v = 1
-        for i in range(order):
+        for i in range(filled):
             exp[i] = v
             v = self.mul(v, self.generator)
+        while filled < order:
+            step = min(filled, order - filled)
+            c = self.mul(int(exp[filled - 1]), self.generator)
+            exp[filled : filled + step] = self._mul_const_all(c, exp[:step])
+            filled += step
         log = np.full(size, -1, dtype=np.int64)
         log[exp] = np.arange(order, dtype=np.int64)
-        exp.setflags(write=False)
-        log.setflags(write=False)
 
-        # Tr_n as a GF(2)-linear form: mask bit i = Tr_n(x^i)
-        mask_n = 0
-        for i in range(self.n):
-            if self.rel_trace(self.n, 1, 1 << i):
-                mask_n |= 1 << i
-        idx = np.arange(size, dtype=np.int64)
-        tr_n = _parity(idx & mask_n)
-        tr_n.setflags(write=False)
-
-        frob_m = self._pow_all(exp, log, idx, 1 << self.m)
-        sub_mask = frob_m == idx
-        sub_mask.setflags(write=False)
-
-        # absolute trace of the subfield (junk outside it, never used there)
-        acc = idx.copy()
-        s = idx.copy()
-        for _ in range(self.m - 1):
-            s = self._pow_all(exp, log, s, 2)
-            acc ^= s
-        tr_m = acc.astype(np.uint8)
-        tr_m.setflags(write=False)
-
-        sub_elems = idx[sub_mask].copy()
+        # the subfield is {0} and the powers of beta = g^(q+1)
+        sub_elems = np.concatenate([[0], np.sort(exp[:: q + 1])])
+        sub_mask = np.zeros(size, dtype=bool)
+        sub_mask[sub_elems] = True
         sub_index = np.full(size, -1, dtype=np.int64)
-        sub_index[sub_elems] = np.arange(len(sub_elems))
-        sub_elems.setflags(write=False)
-        sub_index.setflags(write=False)
+        sub_index[sub_elems] = np.arange(q)
 
-        return exp, log, tr_n, tr_m, sub_mask, sub_elems, sub_index
+        # Tr_n(c y) as a GF(2)-linear form of y: mask bit i = Tr_n(c x^i).  On
+        # the subfield Tr_m(y) = Tr_n(theta y) for any theta + theta^q = 1, such
+        # as z / (z + z^q) with z = x (encoding 2), which lies outside it.
+        theta = self.mul(2, self.inv(2 ^ self.frobenius(2, m)))
+        mask_n, mask_m = (
+            sum(self.rel_trace(self.n, 1, self.mul(c, 1 << i)) << i for i in range(self.n))
+            for c in (1, theta)
+        )
+
+        idx = np.arange(size, dtype=np.int64)
+        tables = FieldTables(
+            exp=exp,
+            log=log,
+            trace_bits=_parity(idx & mask_n),
+            subfield_trace_bits=_parity(idx & mask_m),
+            subfield_mask=sub_mask,
+            subfield_elements=sub_elems,
+            subfield_index=sub_index,
+        )
+        for table in tables:
+            table.setflags(write=False)
+        return tables
+
+    def _mul_const_all(self, c: int, xs: np.ndarray) -> np.ndarray:
+        """c x for every encoding x in xs, XORing one 256-entry table per byte of x."""
+        out = np.zeros(len(xs), dtype=np.int64)
+        col = c  # c x^i, for bit i of x
+        for shift in range(0, self.n, 8):
+            byte_table = np.zeros(256, dtype=np.int64)
+            for i in range(min(8, self.n - shift)):
+                byte_table[1 << i : 2 << i] = byte_table[: 1 << i] ^ col
+                col = self.mul(col, 2)
+            out ^= byte_table[(xs >> shift) & 0xFF]
+        return out
 
     @property
-    def tables(self):
+    def tables(self) -> FieldTables:
         if self._tables is None:
             self._tables = self._build_tables()
         return self._tables
@@ -253,11 +285,10 @@ class FieldTower:
 
     # vectorised arithmetic on int64 arrays of encodings
     def pow_vec(self, xs: np.ndarray, e: int) -> np.ndarray:
-        exp, log = self.tables[0], self.tables[1]
-        return self._pow_all(exp, log, xs, e)
+        return self._pow_all(self.tables.exp, self.tables.log, xs, e)
 
     def mul_vec(self, xs, ys) -> np.ndarray:
-        exp, log = self.tables[0], self.tables[1]
+        exp, log = self.tables.exp, self.tables.log
         lx, ly = log[xs], log[ys]
         out = exp[(lx + ly) % self.order]
         return np.where((lx < 0) | (ly < 0), 0, out)
@@ -265,7 +296,7 @@ class FieldTower:
     def mul_scalar_vec(self, c: int, xs: np.ndarray) -> np.ndarray:
         if c == 0:
             return np.zeros_like(xs)
-        exp, log = self.tables[0], self.tables[1]
+        exp, log = self.tables.exp, self.tables.log
         lc = int(log[c])
         lx = log[xs]
         out = exp[(lx + lc) % self.order]
@@ -274,25 +305,25 @@ class FieldTower:
     @property
     def trace_bits(self) -> np.ndarray:
         """uint8 table: Tr_n(x) for every encoding x."""
-        return self.tables[2]
+        return self.tables.trace_bits
 
     @property
     def subfield_trace_bits(self) -> np.ndarray:
-        """uint8 table: Tr_m(x) for x in the subfield (meaningless outside)."""
-        return self.tables[3]
+        """uint8 table: Tr_m(x) for x in the subfield (a linear form outside it)."""
+        return self.tables.subfield_trace_bits
 
     @property
     def subfield_mask(self) -> np.ndarray:
-        return self.tables[4]
+        return self.tables.subfield_mask
 
     def subfield_elements(self) -> np.ndarray:
         """All 2^m subfield encodings in ascending order."""
-        return self.tables[5]
+        return self.tables.subfield_elements
 
     @property
     def subfield_index(self) -> np.ndarray:
         """Encoding -> position in subfield_elements(), -1 outside."""
-        return self.tables[6]
+        return self.tables.subfield_index
 
     # ---- serialisation -----------------------------------------------------
 
@@ -341,7 +372,7 @@ def find_unit_relative_trace(tower: FieldTower, require_primitive: bool = False)
     tested in ascending blocks over the exp/log tables; a is primitive iff
     gcd(log a, 2^n - 1) = 1.
     """
-    exp, log = tower.tables[0], tower.tables[1]
+    exp, log = tower.tables.exp, tower.tables.log
     for start in range(0, tower.size, _BASIS_BLOCK):
         a = np.arange(start, min(start + _BASIS_BLOCK, tower.size), dtype=np.int64)
         t = a ^ tower._pow_all(exp, log, a, 1 << tower.m)

@@ -154,7 +154,7 @@ def interpolate_terms(F: OPolyMap) -> list[tuple[int, int]]:
     """
     tower = F.tower
     q = 1 << tower.m
-    exp, log = tower.tables[:2]
+    exp, log = tower.tables.exp, tower.tables.log
     vals = F.table[1:]
     nonzero = vals != 0
     log_v = log[vals[nonzero]]

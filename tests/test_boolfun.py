@@ -31,7 +31,7 @@ from nihobent import (
     walsh,
     walsh_naive,
 )
-from nihobent.boolfun import _evaluate_terms
+from nihobent.boolfun import _check_table, _evaluate_terms, _gram_permutation
 
 AND2 = np.array([0, 0, 0, 1], dtype=np.uint8)  # x1*x2 with index bits as inputs
 
@@ -78,13 +78,30 @@ def test_fwht_matches_naive_dot_product(n):
         assert np.array_equal(walsh(tt), walsh_naive(tt))
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_fwht_matches_naive_trace_indexed(m):
     tower = make_tower(m)
     rng = np.random.default_rng(m)
     for _ in range(10):
         tt = rng.integers(0, 2, tower.size).astype(np.uint8)
         assert np.array_equal(walsh(tt, tower), walsh_naive(tt, tower))
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_gram_permutation_matches_rel_trace(m):
+    # Gram matrix from one rel_trace per (i, j) pair, applied to each w bit by bit
+    tower = make_tower(m)
+    n = tower.n
+    cols = [
+        sum(tower.rel_trace(n, 1, tower.mul(1 << i, 1 << j)) << i for i in range(n))
+        for j in range(n)
+    ]
+    expected = [0] * tower.size
+    for w in range(tower.size):
+        for j in range(n):
+            if w >> j & 1:
+                expected[w] ^= cols[j]
+    assert _gram_permutation(tower).tolist() == expected
 
 
 def test_walsh_definition_spot_values(tower3):
@@ -210,6 +227,17 @@ def test_exponent_storage_reduced(tower3):
     assert q.terms[0][2] == 63
     assert evaluate(tower3, q)[0] == 0
     assert TracePolynomial(3, ((6, 1, 0),)).terms[0][2] == 0
+
+
+def test_table_length_is_checked():
+    with pytest.raises(ValueError, match="truth table is empty"):
+        _check_table(np.zeros(0, dtype=np.uint8))
+    with pytest.raises(ValueError, match="truth table is empty"):
+        table_from_hex("")
+    with pytest.raises(ValueError, match="not a power of two"):
+        _check_table(np.zeros(12, dtype=np.uint8))
+    assert _check_table(np.zeros(1, dtype=np.uint8)) == 0
+    assert _check_table(np.zeros(16, dtype=np.uint8)) == 4
 
 
 def test_hex_round_trip(tower3):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -213,3 +216,46 @@ def test_expand_rejects_both_d_and_F(capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert "not allowed with" in out.err
+
+
+def test_unwritable_out_is_bad_input(tmp_path, capsys):
+    # --out under a regular file cannot be created: exit 2 before any work
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    table = tmp_path / "q.tt.hex"
+    table.write_text("ff" * 8 + "\n")
+    bad = blocker / "out"
+    for argv in (
+        ("construct", "--family", "quadratic", "--m", "3", "--a", "01", "--out", str(bad)),
+        ("walsh", str(table), "--out", str(bad)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot write {bad}: Not a directory\n"
+
+
+def test_walsh_empty_table_is_bad_input(tmp_path, capsys):
+    table = tmp_path / "empty.tt.hex"
+    table.write_text("")
+    code, out, err = run(capsys, "walsh", str(table), "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: truth table is empty\n"
+
+
+def test_python_m_nihobent_runs_the_cli():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    ok = subprocess.run(
+        [sys.executable, "-m", "nihobent", "info", "--m", "3"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert ok.returncode == 0, ok.stderr
+    assert json.loads(ok.stdout)["command"] == "info"
+    bad = subprocess.run(
+        [sys.executable, "-m", "nihobent", "expand", "--m", "5"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert bad.returncode == 2
+    assert bad.stderr.startswith("error: ")

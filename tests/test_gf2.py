@@ -218,6 +218,67 @@ def test_pow_vec_matches_scalar(tower4):
         assert fast[0] == (1 if e == 0 else 0)
 
 
+def scalar_tables(tower):
+    """Exp by repeated multiplication by the generator, then each element's
+    traces and subfield membership from its conjugates in that list;
+    reference oracle for FieldTower._build_tables."""
+    m, n, order, size = tower.m, tower.n, tower.order, tower.size
+    exp = [1]
+    for _ in range(order - 1):
+        exp.append(tower.mul(exp[-1], tower.generator))
+    log = [-1] * size
+    for i, x in enumerate(exp):
+        log[x] = i
+
+    def conjugate_sum(x, k):  # x + x^2 + ... + x^(2^(k-1))
+        acc = 0
+        for j in range(k):
+            acc ^= exp[(log[x] << j) % order] if x else 0
+        return acc
+
+    in_sub = [x == 0 or exp[(log[x] << m) % order] == x for x in range(size)]
+    elems = [x for x in range(size) if in_sub[x]]
+    index = [-1] * size
+    for i, x in enumerate(elems):
+        index[x] = i
+    return {
+        "exp": exp,
+        "log": log,
+        "trace_bits": [conjugate_sum(x, n) for x in range(size)],
+        "subfield_trace_bits": [conjugate_sum(x, m) for x in elems],
+        "subfield_mask": in_sub,
+        "subfield_elements": elems,
+        "subfield_index": index,
+    }
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_tables_match_scalar_build(m):
+    tower = FieldTower(m)  # a fresh tower, so the tables are built here
+    tables = tower.tables
+    ref = scalar_tables(tower)
+    for name in ("exp", "log", "trace_bits", "subfield_mask", "subfield_elements", "subfield_index"):
+        assert getattr(tables, name).tolist() == ref[name], name
+    sub = tables.subfield_elements
+    assert tables.subfield_trace_bits[sub].tolist() == ref["subfield_trace_bits"]
+    assert [t.dtype for t in tables] == [np.int64, np.int64, np.uint8, np.uint8, bool, np.int64, np.int64]
+    assert not any(t.flags.writeable for t in tables)
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_subfield_trace_matches_rel_trace(m):
+    # subfield walked as 0 and the powers of g^(2^m + 1), one scalar product each
+    tower = make_tower(m)
+    beta = tower.pow(tower.generator, (1 << m) + 1)
+    sub, x = [0], 1
+    for _ in range((1 << m) - 1):
+        sub.append(x)
+        x = tower.mul(x, beta)
+    assert sorted(sub) == tower.subfield_elements().tolist()
+    bits = tower.subfield_trace_bits
+    assert [int(bits[x]) for x in sub] == [tower.rel_trace(m, 1, x) for x in sub]
+
+
 def test_find_unit_relative_trace_unflagged(tower4):
     a = find_unit_relative_trace(tower4)
     assert tower4.rel_trace(tower4.n, tower4.m, a) == 1
