@@ -15,7 +15,6 @@ from .boolfun import (
     anf,
     dual,
     evaluate,
-    is_affine_difference,
     is_bent,
     nonlinearity,
     nonlinearity_from_spectrum,
@@ -24,11 +23,9 @@ from .boolfun import (
     table_to_hex,
     verdict_from_spectrum,
     walsh,
-    walsh_naive,
 )
 from .niho import (
     FamilyParams,
-    NihoExponent,
     binomial_exponents,
     build,
     build_binomial,
@@ -42,8 +39,6 @@ from .niho import (
     coset_leader,
     lk_exponents,
     niho_profile,
-    normalize_exponent,
-    two_weight,
 )
 from .opoly import (
     CatalogEntry,

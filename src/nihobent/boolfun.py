@@ -5,8 +5,8 @@ the integer encoding of the field element t.  Walsh spectra are int64
 arrays of the same length indexed by w.  The fast transform uses the
 standard Walsh-Hadamard butterfly on the sign vector and then permutes the
 output through the Gram matrix of the trace bilinear form, so spectrum[w]
-matches the field-indexed sum over (-1)^(f(x) + Tr_n(wx)) exactly; a naive
-quadratic-time evaluator is kept alongside as a cross-check.  Bentness and
+matches the field-indexed sum over (-1)^(f(x) + Tr_n(wx)) exactly (the
+tests check it against the quadratic-time defining sum).  Bentness and
 nonlinearity can be read off a spectrum already computed, so a report
 needs one transform per function.
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import FieldTower, _parity, _reduce_exponent
+from .gf2 import FieldTower, _reduce_exponent
 
 
 class RepresentationError(ValueError):
@@ -86,7 +86,7 @@ def evaluate(tower: FieldTower, poly: TracePolynomial) -> np.ndarray:
         r = 1 << (m - s)
         if k == n:  # Tr_n(c t^e) = Tr_m(v^(2^s) (w + w^q))
             g ^= exp[lw * r % order] ^ exp[lw * (q * r % order) % order]
-        elif tower.subfield_mask[exp[lw]].all():
+        elif tower.tables.subfield_mask[exp[lw]].all():
             g ^= exp[lw * r % order]
         else:
             rest.append(term)
@@ -115,7 +115,7 @@ def _polar_table(tower: FieldTower, g: np.ndarray) -> np.ndarray:
     m, order = tower.m, tower.order
     q = 1 << m
     exp, log = tower.tables.exp, tower.tables.log
-    tau = tower.subfield_trace_bits[exp[:: q + 1]]
+    tau = tower.tables.subfield_trace_bits[exp[:: q + 1]]
     b = np.arange(q + 1, dtype=np.int64)
     i_b = b * (q >> 1) % (q - 1)  # 2^(m-1) inverts 2 modulo q - 1
     j_b = -b * ((q >> 1) + 1) % (q + 1)  # 2^(m-1) + 1 inverts 2 modulo q + 1
@@ -132,19 +132,20 @@ def _polar_table(tower: FieldTower, g: np.ndarray) -> np.ndarray:
 
 def _evaluate_terms(tower: FieldTower, terms) -> np.ndarray:
     """Writable table of a sum of (k, c, e) terms, one full pass per term."""
+    tables = tower.tables
     bits = np.zeros(tower.size, dtype=np.uint8)
     for k, c, e in terms:
         vals = tower.mul_scalar_vec(c, tower.pow_vec(np.arange(tower.size), e))
         if k == tower.n:
-            bits ^= tower.trace_bits[vals]
+            bits ^= tables.trace_bits[vals]
         elif k == tower.m:
-            bad = ~tower.subfield_mask[vals]
+            bad = ~tables.subfield_mask[vals]
             if bad.any():
                 t = int(np.nonzero(bad)[0][0])
                 raise RepresentationError(
                     f"Tr_{k} term (c={c:#x}, e={e}) leaves the subfield at t={t:#x}"
                 )
-            bits ^= tower.subfield_trace_bits[vals]
+            bits ^= tables.subfield_trace_bits[vals]
         else:  # k == 1: raw GF(2) values
             if not np.isin(vals, (0, 1)).all():
                 t = int(np.nonzero(~np.isin(vals, (0, 1)))[0][0])
@@ -181,7 +182,7 @@ def _gram_permutation(tower: FieldTower) -> np.ndarray:
     # w -> M(w) with Tr_n(w x) = <M(w), x> in the polynomial basis; the Gram
     # matrix is Hankel: entry (i, j) is Tr_n(x^i x^j) = Tr_n(x^(i+j))
     n = tower.n
-    hankel = [int(tower.trace_bits[tower.pow(2, k)]) for k in range(2 * n - 1)]
+    hankel = [int(tower.tables.trace_bits[tower.pow(2, k)]) for k in range(2 * n - 1)]
     cols = [sum(hankel[i + j] << i for i in range(n)) for j in range(n)]
     gw = np.zeros(tower.size, dtype=np.int64)
     for j in range(n):
@@ -203,34 +204,6 @@ def walsh(tt: np.ndarray, tower: FieldTower | None = None) -> np.ndarray:
         out = out[_gram_permutation(tower)]
     out.setflags(write=False)
     return out
-
-
-@functools.lru_cache(maxsize=8)
-def _naive_kernel(tower: FieldTower | None, n: int) -> np.ndarray:
-    # sign matrix (-1)^<w, x> resp. (-1)^Tr_n(w x), rows indexed by w
-    idx = np.arange(1 << n, dtype=np.int64)
-    if tower is None:
-        inner = _parity(idx[:, None] & idx[None, :])
-    else:
-        exp, log = tower.tables.exp, tower.tables.log
-        lsum = log[idx[:, None]] + log[idx[None, :]]
-        prod = np.where(
-            (log[idx][:, None] < 0) | (log[idx][None, :] < 0), 0, exp[lsum % tower.order]
-        )
-        inner = tower.trace_bits[prod]
-    kernel = 1 - 2 * inner.astype(np.int64)
-    kernel.setflags(write=False)
-    return kernel
-
-
-def walsh_naive(tt: np.ndarray, tower: FieldTower | None = None) -> np.ndarray:
-    """Direct O(4^n) spectrum from the defining sum; reference oracle."""
-    n = _check_table(tt)
-    if tower is not None and len(tt) != tower.size:
-        raise ValueError("table length does not match the tower")
-    spectrum = _naive_kernel(tower, n) @ (1 - 2 * tt.astype(np.int64))
-    spectrum.setflags(write=False)
-    return spectrum
 
 
 @dataclass(frozen=True)
@@ -305,13 +278,6 @@ def nonlinearity_from_spectrum(spec: np.ndarray) -> int:
     """Nonlinearity read off a Walsh spectrum of length 2^n."""
     n = _check_table(spec)
     return (1 << (n - 1)) - int(np.abs(spec).max()) // 2
-
-
-def is_affine_difference(f: np.ndarray, g: np.ndarray) -> bool:
-    """True iff f and g differ by a function of degree at most 1."""
-    if len(f) != len(g):
-        raise ValueError(f"table sizes differ: {len(f)} vs {len(g)}")
-    return algebraic_degree(f ^ g) <= 1
 
 
 # ---- serialisation ----------------------------------------------------------

@@ -39,19 +39,19 @@ def bivariate_truth_table(tower: FieldTower, spec: BivariateSpec) -> np.ndarray:
         raise ValueError(f"basis element a = {a:#x} must lie outside the subfield")
     if not tower.in_subfield(spec.mu):
         raise ValueError("mu must be a subfield element")
-    zs = tower.subfield_elements()
+    tables = tower.tables
+    zs = tables.subfield_elements
     bits = np.zeros(tower.size, dtype=np.uint8)
     # x = 0 line: t = y, value Tr_m(mu y)
     mu_y = tower.mul_scalar_vec(spec.mu, zs)
-    bits[zs] = tower.subfield_trace_bits[mu_y]
+    bits[zs] = tables.subfield_trace_bits[mu_y]
     g_table = spec.G.table
-    sub_index = tower.subfield_index
     for x in zs[1:]:
         x = int(x)
         z = tower.mul_scalar_vec(tower.inv(x), zs)  # z = y / x
-        vals = tower.mul_scalar_vec(x, g_table[sub_index[z]])
+        vals = tower.mul_scalar_vec(x, g_table[tables.subfield_index[z]])
         t = tower.mul(a, x) ^ zs
-        bits[t] = tower.subfield_trace_bits[vals]
+        bits[t] = tables.subfield_trace_bits[vals]
     bits.setflags(write=False)
     return bits
 
@@ -162,7 +162,7 @@ def bivariate_monomial_table(
     vals = tower.mul_scalar_vec(
         lam, tower.mul_vec(tower.pow_vec(xs, (1 << m) - d), tower.pow_vec(ys, d))
     )
-    bits = tower.subfield_trace_bits[vals].copy()
+    bits = tower.tables.subfield_trace_bits[vals].copy()
     bits.setflags(write=False)
     return bits
 

@@ -32,10 +32,6 @@ SCHEMA = 1
 DEFAULT_SEED = 12345
 
 
-def _tower_info(tower) -> dict:
-    return json.loads(tower.to_json())
-
-
 def _spectrum_summary(spec: np.ndarray) -> dict:
     return {
         "min": int(spec.min()),
@@ -66,14 +62,22 @@ def _function_record(
     return rec
 
 
+def _report(command: str, tower, t0: float | None = None, **fields) -> dict:
+    """schema, command, tower, the command's fields, then seconds since t0 if given."""
+    report = {"schema": SCHEMA, "command": command, "tower": json.loads(tower.to_json()), **fields}
+    if t0 is not None:
+        report["seconds"] = round(time.perf_counter() - t0, 6)
+    return report
+
+
 def _emit(report: dict, ok: bool) -> int:
     print(json.dumps(report, indent=2))
     return 0 if ok else 1
 
 
-def _resolve_a(tower, spec: str, family: str) -> int:
+def _resolve_a(tower, spec: str, require_primitive: bool) -> int:
     if spec == "auto":
-        return find_unit_relative_trace(tower, require_primitive=family == "expand")
+        return find_unit_relative_trace(tower, require_primitive=require_primitive)
     return tower.element_from_hex(spec)
 
 
@@ -110,18 +114,15 @@ def _parse_terms(tower, text: str, flag: str) -> list[tuple[int, int]]:
     return [(tower.element_from_hex(t["c"]), t["e"]) for t in raw]
 
 
-_FAMILY_ALIASES = {"cubic": "cubic_family", "trinomial": "trinomial_sum"}
-
-
 def cmd_construct(args) -> int:
     t0 = time.perf_counter()
-    out = _out_dir(args.out)
+    niho.FAMILIES[args.family].check(args)  # before --a auto runs and --out is made
     tower = make_tower(args.m)
     coeffs = None
     if args.coeffs:
         coeffs = tuple(tower.element_from_hex(h) for h in args.coeffs.split(","))
     params = niho.FamilyParams(
-        family=_FAMILY_ALIASES.get(args.family, args.family),
+        family=args.family,
         m=args.m,
         r=args.r,
         c=args.c,
@@ -129,11 +130,12 @@ def cmd_construct(args) -> int:
         J=args.J,
         k=args.k,
         d2=args.d2,
-        a=_resolve_a(tower, args.a, args.family) if args.a else None,
+        a=_resolve_a(tower, args.a, require_primitive=False) if args.a else None,
         b=tower.element_from_hex(args.b) if args.b else None,
         coeffs=coeffs,
     )
     poly = niho.build(tower, params)
+    out = _out_dir(args.out)
     tt = boolfun.evaluate(tower, poly)
     record = _function_record(
         tower, tt, boolfun.walsh(tt, tower), json.loads(params.to_json(tower))
@@ -141,17 +143,14 @@ def cmd_construct(args) -> int:
     stem = f"{params.family}_m{args.m}"
     (out / f"{stem}.tt.hex").write_text(boolfun.table_to_hex(tt) + "\n")
     (out / f"{stem}.poly.json").write_text(json.dumps(_poly_json(tower, poly), indent=2))
-    report = {
-        "schema": SCHEMA,
-        "command": "construct",
-        "tower": _tower_info(tower),
-        "functions": [record],
-        "files": {
+    report = _report(
+        "construct", tower, t0,
+        functions=[record],
+        files={
             "truth_table": str(out / f"{stem}.tt.hex"),
             "polynomial": str(out / f"{stem}.poly.json"),
         },
-        "seconds": round(time.perf_counter() - t0, 6),
-    }
+    )
     (out / f"{stem}.report.json").write_text(json.dumps(report, indent=2))
     return _emit(report, record["bent"])
 
@@ -185,14 +184,7 @@ def cmd_opoly(args) -> int:
     else:
         terms = _parse_terms(tower, args.terms, "--terms")
         records.append(_opoly_record(tower, opoly.OPolyMap.from_terms(tower, terms)))
-    report = {
-        "schema": SCHEMA,
-        "command": "opoly",
-        "tower": _tower_info(tower),
-        "verdicts": records,
-        "seconds": round(time.perf_counter() - t0, 6),
-    }
-    return _emit(report, all(r["is_opoly"] for r in records))
+    return _emit(_report("opoly", tower, t0, verdicts=records), all(r["is_opoly"] for r in records))
 
 
 def cmd_expand(args) -> int:
@@ -200,7 +192,7 @@ def cmd_expand(args) -> int:
         raise ValueError("expand needs --d or --F")
     t0 = time.perf_counter()
     tower = make_tower(args.m)
-    a = _resolve_a(tower, args.a, "expand")
+    a = _resolve_a(tower, args.a, require_primitive=True)
     lam = tower.element_from_hex(args.lam) if args.lam else 1
     rng = random.Random(args.seed)
     ok = True
@@ -230,7 +222,7 @@ def cmd_expand(args) -> int:
                 "odd_index": props.odd_index_ok,
                 "all_nonzero": props.all_nonzero,
             }
-            sub = tower.subfield_elements()
+            sub = tower.tables.subfield_elements
             sweeps = []
             for _ in range(args.sweeps):
                 lam_r = int(sub[rng.randrange(1, len(sub))])
@@ -246,14 +238,7 @@ def cmd_expand(args) -> int:
                 and all(sweeps)
             )
         records.append(rec)
-    report = {
-        "schema": SCHEMA,
-        "command": "expand",
-        "tower": _tower_info(tower),
-        "results": records,
-        "seconds": round(time.perf_counter() - t0, 6),
-    }
-    return _emit(report, ok)
+    return _emit(_report("expand", tower, t0, results=records), ok)
 
 
 def cmd_tables(args) -> int:
@@ -319,14 +304,7 @@ def cmd_tables(args) -> int:
                 }
             )
         rows_out.append(entry)
-    report = {
-        "schema": SCHEMA,
-        "command": "tables",
-        "tower": _tower_info(tower),
-        "basis_a_hex": tower.element_hex(a),
-        "rows": rows_out,
-        "seconds": round(time.perf_counter() - t0, 6),
-    }
+    report = _report("tables", tower, t0, basis_a_hex=tower.element_hex(a), rows=rows_out)
     return _emit(report, ok)
 
 
@@ -351,27 +329,13 @@ def cmd_walsh(args) -> int:
     else:
         path = out / f"{stem}.spectrum.json"
         path.write_text(json.dumps([int(v) for v in spec]))
-    report = {
-        "schema": SCHEMA,
-        "command": "walsh",
-        "tower": _tower_info(tower),
-        "functions": [record],
-        "files": {"spectrum": str(path)},
-        "seconds": round(time.perf_counter() - t0, 6),
-    }
+    report = _report("walsh", tower, t0, functions=[record], files={"spectrum": str(path)})
     return _emit(report, True)
 
 
 def cmd_info(args) -> int:
     tower = make_tower(args.m)
-    report = {
-        "schema": SCHEMA,
-        "command": "info",
-        "tower": _tower_info(tower),
-        "subfield_size": 1 << tower.m,
-        "order": tower.order,
-    }
-    return _emit(report, True)
+    return _emit(_report("info", tower, subfield_size=1 << tower.m, order=tower.order), True)
 
 
 def main(argv=None) -> int:
@@ -382,10 +346,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a bent-function family member")
-    p.add_argument(
-        "--family", required=True,
-        choices=tuple(niho._FAMILIES) + tuple(_FAMILY_ALIASES),
-    )
+    p.add_argument("--family", required=True, choices=tuple(niho.FAMILIES))
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--r", type=int)
     p.add_argument("--c", type=int)

@@ -276,54 +276,23 @@ class FieldTower:
             self._tables = self._build_tables()
         return self._tables
 
-    def _pow_all(self, exp, log, xs, e):
+    # vectorised arithmetic on int64 arrays of encodings, in the log domain
+    def pow_vec(self, xs: np.ndarray, e: int) -> np.ndarray:
+        """x^e for every x in xs, with the exponent rule of pow."""
         e = _reduce_exponent(e, self.order)
         if e == 0:
             return np.ones_like(xs)
-        lg = log[xs]
-        return np.where(lg < 0, 0, exp[(lg * e) % self.order])
-
-    # vectorised arithmetic on int64 arrays of encodings
-    def pow_vec(self, xs: np.ndarray, e: int) -> np.ndarray:
-        return self._pow_all(self.tables.exp, self.tables.log, xs, e)
+        lg = self.tables.log[xs]
+        return np.where(lg < 0, 0, self.tables.exp[(lg * e) % self.order])
 
     def mul_vec(self, xs, ys) -> np.ndarray:
+        """Elementwise x y; either operand may be a scalar encoding."""
         exp, log = self.tables.exp, self.tables.log
         lx, ly = log[xs], log[ys]
         out = exp[(lx + ly) % self.order]
         return np.where((lx < 0) | (ly < 0), 0, out)
 
-    def mul_scalar_vec(self, c: int, xs: np.ndarray) -> np.ndarray:
-        if c == 0:
-            return np.zeros_like(xs)
-        exp, log = self.tables.exp, self.tables.log
-        lc = int(log[c])
-        lx = log[xs]
-        out = exp[(lx + lc) % self.order]
-        return np.where(lx < 0, 0, out)
-
-    @property
-    def trace_bits(self) -> np.ndarray:
-        """uint8 table: Tr_n(x) for every encoding x."""
-        return self.tables.trace_bits
-
-    @property
-    def subfield_trace_bits(self) -> np.ndarray:
-        """uint8 table: Tr_m(x) for x in the subfield (a linear form outside it)."""
-        return self.tables.subfield_trace_bits
-
-    @property
-    def subfield_mask(self) -> np.ndarray:
-        return self.tables.subfield_mask
-
-    def subfield_elements(self) -> np.ndarray:
-        """All 2^m subfield encodings in ascending order."""
-        return self.tables.subfield_elements
-
-    @property
-    def subfield_index(self) -> np.ndarray:
-        """Encoding -> position in subfield_elements(), -1 outside."""
-        return self.tables.subfield_index
+    mul_scalar_vec = mul_vec  # c x for a scalar c; log[0] = -1 covers c = 0
 
     # ---- serialisation -----------------------------------------------------
 
@@ -372,12 +341,11 @@ def find_unit_relative_trace(tower: FieldTower, require_primitive: bool = False)
     tested in ascending blocks over the exp/log tables; a is primitive iff
     gcd(log a, 2^n - 1) = 1.
     """
-    exp, log = tower.tables.exp, tower.tables.log
     for start in range(0, tower.size, _BASIS_BLOCK):
         a = np.arange(start, min(start + _BASIS_BLOCK, tower.size), dtype=np.int64)
-        t = a ^ tower._pow_all(exp, log, a, 1 << tower.m)
+        t = a ^ tower.pow_vec(a, 1 << tower.m)
         if require_primitive:
-            hit = (t != 0) & (np.gcd(log[a], tower.order) == 1)
+            hit = (t != 0) & (np.gcd(tower.tables.log[a], tower.order) == 1)
         else:
             hit = t == 1
         if hit.any():

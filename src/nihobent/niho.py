@@ -1,9 +1,9 @@
-"""Niho exponent arithmetic and the explicit bent-function families.
+"""The explicit Niho bent-function families and their registry.
 
 Every constructor emits a TracePolynomial over GF(2^{2m}) whose exponents d
 all satisfy d = 2^j (mod 2^m - 1), i.e. t^d restricted to the subfield is
-linear.  The normalized form is d = (2^m - 1) s + 1 with s read modulo
-2^m + 1; fractional s means the modular inverse of the denominator.
+linear.  The ladder exponents are in the normalized form
+d = (2^m - 1) s + 1 with s read modulo 2^m + 1.
 
 Families: the quadratic monomial, the two binomials, the geometric
 power-sum family with 2^(r-1) equal coefficients (build_lk), its
@@ -11,7 +11,10 @@ coefficiented generalisation (build_lk_coeff), the four-coefficient cycle
 family from quadratic o-monomials (build_qu_family), the single-coefficient
 variant (build_g_lk2), the eight-coefficient cycle family from the cubic
 o-monomial (build_cubic_family), and the three-family sum matching the
-o-trinomial (build_trinomial_sum).
+o-trinomial (build_trinomial_sum).  FAMILIES maps each family name, and
+the short spellings "cubic" and "trinomial", to its constructor call and
+the FamilyParams fields that call needs; build(tower, params) dispatches
+through it.
 """
 
 from __future__ import annotations
@@ -19,17 +22,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .boolfun import TracePolynomial
 from .gf2 import FieldTower
-
-
-def two_weight(e: int) -> int:
-    """Number of ones in the binary expansion."""
-    if e < 0:
-        raise ValueError("exponent must be nonnegative")
-    return e.bit_count()
 
 
 def coset_leader(e: int, n: int) -> int:
@@ -39,33 +35,6 @@ def coset_leader(e: int, n: int) -> int:
     order = (1 << n) - 1
     e %= order
     return min((e << j) % order for j in range(n)) if e else 0
-
-
-@dataclass(frozen=True)
-class NihoExponent:
-    m: int
-    s: int                # normalized multiplier, 1 < s < 2^m + 1
-    d: int                # (2^m - 1) s + 1 mod 2^n - 1
-    conjugate: int        # 2^m d mod 2^n - 1
-    leader: int           # cyclotomic coset leader of d
-
-
-def normalize_exponent(m: int, s: int | Fraction) -> NihoExponent:
-    """Resolve s (or a fraction p/q) modulo 2^m + 1 and form the exponent."""
-    half = (1 << m) + 1
-    if isinstance(s, Fraction):
-        try:
-            s = s.numerator * pow(s.denominator, -1, half) % half
-        except ValueError:
-            raise ValueError(
-                f"denominator {s.denominator} is not invertible modulo 2^{m}+1"
-            ) from None
-    s %= half
-    if s in (0, 1):
-        raise ValueError(f"s = {s} (mod 2^{m}+1) gives a linear exponent")
-    order = (1 << 2 * m) - 1
-    d = (((1 << m) - 1) * s + 1) % order
-    return NihoExponent(m, s, d, (d << m) % order, coset_leader(d, 2 * m))
 
 
 def _niho_d(m: int, s: int) -> int:
@@ -351,25 +320,47 @@ def niho_profile(tower: FieldTower, poly: TracePolynomial, r: int) -> dict[int, 
     return out
 
 
-# ---- parameter bundle --------------------------------------------------------
+# ---- family registry ----------------------------------------------------------
 
-# every family with the FamilyParams fields its constructor cannot do without
-_FAMILIES = {
-    "quadratic": ("a",),
-    "binomial_3": ("b",),
-    "binomial_16": ("b",),
-    "lk": ("a", "r"),
-    "lk_coeff": ("r", "coeffs"),
-    "qu_family": ("r", "c", "I", "J", "a"),
-    "g_lk2": ("J", "a"),
-    "cubic_family": ("I", "J", "a"),
-    "trinomial_sum": ("k", "a"),
+
+class Family(NamedTuple):
+    """One registry entry: canonical name, required fields, constructor call."""
+
+    name: str
+    needs: tuple[str, ...]  # FamilyParams fields the constructor cannot do without
+    build: Callable[[FieldTower, FamilyParams], TracePolynomial]
+
+    def check(self, values) -> None:
+        """Fail unless every needed field of `values` (read by name) is set."""
+        missing = [name for name in self.needs if getattr(values, name) is None]
+        if missing:
+            raise ValueError(f"family {self.name} needs parameter(s) {', '.join(missing)}")
+
+
+FAMILIES: dict[str, Family] = {
+    f.name: f
+    for f in (
+        Family("quadratic", ("a",), lambda t, p: build_quadratic(t, p.a)),
+        Family("binomial_3", ("b",), lambda t, p: build_binomial(t, p.b, "d2_3", p.d2)),
+        Family("binomial_16", ("b",), lambda t, p: build_binomial(t, p.b, "d2_16", p.d2)),
+        Family("lk", ("a", "r"), lambda t, p: build_lk(t, p.a, p.r)),
+        Family("lk_coeff", ("r", "coeffs"), lambda t, p: build_lk_coeff(t, p.r, list(p.coeffs))),
+        Family("qu_family", ("r", "c", "I", "J", "a"),
+               lambda t, p: build_qu_family(t, p.r, p.c, p.I, p.J, p.a)),
+        Family("g_lk2", ("J", "a"), lambda t, p: build_g_lk2(t, p.J, p.a)),
+        Family("cubic_family", ("I", "J", "a"), lambda t, p: build_cubic_family(t, p.I, p.J, p.a)),
+        Family("trinomial_sum", ("k", "a"), lambda t, p: build_trinomial_sum(t, p.k, p.a)),
+    )
 }
+FAMILIES |= {"cubic": FAMILIES["cubic_family"], "trinomial": FAMILIES["trinomial_sum"]}
 
 
 @dataclass(frozen=True)
 class FamilyParams:
-    """Serializable constructor arguments; unused fields stay None."""
+    """Serializable constructor arguments; unused fields stay None.
+
+    `family` may be any FAMILIES key; it is stored as the canonical name.
+    """
 
     family: str
     m: int
@@ -384,8 +375,9 @@ class FamilyParams:
     d2: int | None = None
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; choose from {tuple(_FAMILIES)}")
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown family {self.family!r}; choose from {tuple(FAMILIES)}")
+        object.__setattr__(self, "family", FAMILIES[self.family].name)
 
     def to_json(self, tower: FieldTower) -> str:
         enc = tower.element_hex
@@ -422,25 +414,7 @@ class FamilyParams:
 
 
 def build(tower: FieldTower, params: FamilyParams) -> TracePolynomial:
-    """Dispatch a FamilyParams bundle to its constructor."""
-    f = params.family
-    missing = [name for name in _FAMILIES[f] if getattr(params, name) is None]
-    if missing:
-        raise ValueError(f"family {f} needs parameter(s) {', '.join(missing)}")
-    if f == "quadratic":
-        return build_quadratic(tower, params.a)
-    if f == "binomial_3":
-        return build_binomial(tower, params.b, "d2_3", params.d2)
-    if f == "binomial_16":
-        return build_binomial(tower, params.b, "d2_16", params.d2)
-    if f == "lk":
-        return build_lk(tower, params.a, params.r)
-    if f == "lk_coeff":
-        return build_lk_coeff(tower, params.r, list(params.coeffs))
-    if f == "qu_family":
-        return build_qu_family(tower, params.r, params.c, params.I, params.J, params.a)
-    if f == "g_lk2":
-        return build_g_lk2(tower, params.J, params.a)
-    if f == "cubic_family":
-        return build_cubic_family(tower, params.I, params.J, params.a)
-    return build_trinomial_sum(tower, params.k, params.a)
+    """Dispatch a FamilyParams bundle to its registered constructor."""
+    family = FAMILIES[params.family]
+    family.check(params)
+    return family.build(tower, params)

@@ -34,7 +34,7 @@ class OPolyMap:
         table = np.asarray(table, dtype=np.int64)
         if len(table) != 1 << self.m:
             raise ValueError(f"table must have 2^{self.m} entries, got {len(table)}")
-        if not tower.subfield_mask[table].all():
+        if not tower.tables.subfield_mask[table].all():
             raise ValueError("table values must lie in the subfield")
         table = table.copy()
         table.setflags(write=False)
@@ -50,7 +50,7 @@ class OPolyMap:
         constant term (0^0 = 1); coefficients must be subfield elements.
         """
         sub_order = (1 << tower.m) - 1
-        zs = tower.subfield_elements()
+        zs = tower.tables.subfield_elements
         table = np.zeros(len(zs), dtype=np.int64)
         fixed = []
         for c, e in terms:
@@ -66,7 +66,7 @@ class OPolyMap:
         return cls.from_terms(tower, [(c, e)])
 
     def __call__(self, z: int) -> int:
-        idx = int(self.tower.subfield_index[z])
+        idx = int(self.tower.tables.subfield_index[z])
         if idx < 0:
             raise ValueError(f"{z:#x} is not a subfield element")
         return int(self.table[idx])
@@ -100,9 +100,9 @@ def is_opolynomial(F: OPolyMap) -> OPolyVerdict:
     (beta, value, preimage count).
     """
     tower = F.tower
-    zs = tower.subfield_elements()
+    zs = tower.tables.subfield_elements
     size = len(zs)
-    sub_index = tower.subfield_index
+    sub_index = tower.tables.subfield_index
     is_perm = len(np.unique(F.table)) == size
     verdict = OPolyVerdict(True, is_perm)
     for beta in zs[1:]:
@@ -118,21 +118,21 @@ def is_opolynomial(F: OPolyMap) -> OPolyVerdict:
 def inverse_map(F: OPolyMap) -> OPolyMap:
     """Compositional inverse as a value table; requires a permutation."""
     tower = F.tower
-    zs = tower.subfield_elements()
+    zs = tower.tables.subfield_elements
     if len(np.unique(F.table)) != len(zs):
         raise ValueError("map is not a permutation of the subfield")
     inv_table = np.empty_like(F.table)
-    inv_table[tower.subfield_index[F.table]] = zs
+    inv_table[tower.tables.subfield_index[F.table]] = zs
     return OPolyMap(tower, inv_table)
 
 
 def transform_zFinv(F: OPolyMap) -> OPolyMap:
     """z -> z * F(1/z) for z != 0, with 0 -> 0; preserves o-polynomiality."""
     tower = F.tower
-    zs = tower.subfield_elements()
+    zs = tower.tables.subfield_elements
     sub_order = (1 << tower.m) - 1
     invs = tower.pow_vec(zs, sub_order - 1)  # 0 -> 0, else z^-1
-    vals = tower.mul_vec(zs, F.table[tower.subfield_index[invs]])
+    vals = tower.mul_vec(zs, F.table[tower.tables.subfield_index[invs]])
     vals[0] = 0
     return OPolyMap(tower, vals)
 
@@ -158,7 +158,7 @@ def interpolate_terms(F: OPolyMap) -> list[tuple[int, int]]:
     vals = F.table[1:]
     nonzero = vals != 0
     log_v = log[vals[nonzero]]
-    log_a = log[tower.subfield_elements()[1:][nonzero]]
+    log_a = log[tower.tables.subfield_elements[1:][nonzero]]
     terms = []
     c0 = int(F.table[0])
     if c0:
@@ -258,7 +258,6 @@ class TableCell:
     exponents: tuple[int, ...]
     degree: int | None
     condition: str = ""
-    applies: bool = True
 
 
 @dataclass(frozen=True)
@@ -404,7 +403,7 @@ def trinomial_g2_map(tower: FieldTower) -> OPolyMap:
     if m % 2 == 0:
         raise ValueError("needs odd m = 2k - 1")
     k = (m + 1) // 2
-    zs = tower.subfield_elements()
+    zs = tower.tables.subfield_elements
     inner = (
         tower.pow_vec(zs, (1 << k) + 1)
         ^ tower.pow_vec(zs, 3)

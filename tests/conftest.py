@@ -1,8 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
 
-from nihobent import TracePolynomial, evaluate, make_tower
-from nihobent.gf2 import find_unit_relative_trace
+from nihobent import TracePolynomial, algebraic_degree, evaluate, make_tower
+from nihobent.boolfun import _check_table
+from nihobent.gf2 import _parity, find_unit_relative_trace
 
 
 @pytest.fixture(scope="session")
@@ -51,8 +54,8 @@ def frobenius_input(tower, tt, j):
 
 def subfield_trace_matrix(tower):
     """T[u_idx, x_idx] = Tr_m(u x) over the subfield."""
-    zs = tower.subfield_elements()
-    rows = [tower.subfield_trace_bits[tower.mul_scalar_vec(int(u), zs)] for u in zs]
+    zs = tower.tables.subfield_elements
+    rows = [tower.tables.subfield_trace_bits[tower.mul_scalar_vec(int(u), zs)] for u in zs]
     return np.array(rows, dtype=np.uint8)
 
 
@@ -62,7 +65,7 @@ def extract_class_h(tower, tt, basis):
     Returns None if some line of the table is not linear in x, i.e. the
     function is not of class-H shape for this basis.
     """
-    zs = tower.subfield_elements()
+    zs = tower.tables.subfield_elements
     T = subfield_trace_matrix(tower)
 
     def solve(bits):
@@ -88,3 +91,31 @@ def extract_class_h(tower, tt, basis):
 
 def unit_trace_element(tower):
     return find_unit_relative_trace(tower)
+
+
+@functools.lru_cache(maxsize=8)
+def _naive_kernel(tower, n):
+    # sign matrix (-1)^<w, x> resp. (-1)^Tr_n(w x), rows indexed by w
+    idx = np.arange(1 << n, dtype=np.int64)
+    if tower is None:
+        inner = _parity(idx[:, None] & idx[None, :])
+    else:
+        inner = tower.tables.trace_bits[tower.mul_vec(idx[:, None], idx[None, :])]
+    kernel = 1 - 2 * inner.astype(np.int64)
+    kernel.setflags(write=False)
+    return kernel
+
+
+def walsh_naive(tt, tower=None):
+    """Direct O(4^n) spectrum from the defining sum; oracle for boolfun.walsh."""
+    n = _check_table(tt)
+    if tower is not None and len(tt) != tower.size:
+        raise ValueError("table length does not match the tower")
+    return _naive_kernel(tower, n) @ (1 - 2 * tt.astype(np.int64))
+
+
+def is_affine_difference(f, g):
+    """True iff f and g differ by a function of degree at most 1."""
+    if len(f) != len(g):
+        raise ValueError(f"table sizes differ: {len(f)} vs {len(g)}")
+    return algebraic_degree(f ^ g) <= 1

@@ -11,7 +11,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import primitive_unit, scale_input, tt_of
+from conftest import is_affine_difference, primitive_unit, scale_input, tt_of, walsh_naive
 from nihobent import (
     OPolyMap,
     algebraic_degree,
@@ -25,7 +25,6 @@ from nihobent import (
     build_trinomial_sum,
     catalog,
     evaluate,
-    is_affine_difference,
     is_bent,
     is_opolynomial,
     expand_monomial,
@@ -34,7 +33,6 @@ from nihobent import (
     equivalence_table,
     verify_coefficient_properties,
     walsh,
-    walsh_naive,
 )
 from nihobent.gf2 import find_unit_relative_trace
 
@@ -113,7 +111,7 @@ def test_criterion_3_bridge_equality():
     for m in (3, 4, 5, 6):
         tower = make_tower(m)
         a = find_unit_relative_trace(tower, require_primitive=True)
-        sub = tower.subfield_elements()
+        sub = tower.tables.subfield_elements
         for d in range(2, (1 << m) - 1, 2):
             lams = {1}
             while len(lams) < 3:
@@ -133,7 +131,7 @@ def test_criterion_4_coefficient_properties():
     for m in (3, 4, 5, 6):
         tower = make_tower(m)
         a = find_unit_relative_trace(tower, require_primitive=True)
-        sub = tower.subfield_elements()
+        sub = tower.tables.subfield_elements
         for d in range(2, (1 << m) - 1, 2):
             for lam in (1, int(sub[1]), int(sub[-1])):
                 res = expand_monomial(tower, d, lam, a)

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import tt_of
+from conftest import is_affine_difference, tt_of, walsh_naive
 from nihobent import (
     RepresentationError,
     TracePolynomial,
@@ -21,7 +21,6 @@ from nihobent import (
     dual,
     evaluate,
     find_unit_relative_trace,
-    is_affine_difference,
     is_bent,
     make_tower,
     nonlinearity,
@@ -29,7 +28,6 @@ from nihobent import (
     table_from_hex,
     table_to_hex,
     walsh,
-    walsh_naive,
 )
 from nihobent.boolfun import _check_table, _evaluate_terms, _gram_permutation
 
@@ -287,7 +285,7 @@ def _is_niho(e, m):
 def _random_terms(tower, rng):
     """Seeded mix of every kind of term `evaluate` has to handle."""
     m, n, q, order = tower.m, tower.n, 1 << tower.m, tower.order
-    sub = tower.subfield_elements()
+    sub = tower.tables.subfield_elements
     nonzero = lambda: rng.randrange(1, tower.size)  # noqa: E731
     terms = []
     for _ in range(6):  # Niho Tr_n terms, exponents also past 2^n - 1
@@ -325,7 +323,7 @@ def _family_members(tower):
     m = tower.m
     a = find_unit_relative_trace(tower)
     rng = random.Random(m)
-    sub = tower.subfield_elements()
+    sub = tower.tables.subfield_elements
     members = [
         build_quadratic(tower, int(sub[rng.randrange(1, len(sub))])),
         build_binomial(tower, rng.randrange(1, tower.size), "d2_3"),

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nihobent import algebraic_degree, is_bent, make_tower, nonlinearity, table_from_hex
+from nihobent import algebraic_degree, is_bent, make_tower, niho, nonlinearity, table_from_hex
 from nihobent.cli import main
 
 
@@ -55,10 +55,11 @@ def test_construct_cubic_m7(tmp_path, capsys):
 def test_construct_rejects_gcd_violation(tmp_path, capsys):
     code, _, err = run(
         capsys, "construct", "--family", "lk", "--m", "6", "--r", "2",
-        "--a", "auto", "--out", str(tmp_path),
+        "--a", "auto", "--out", str(tmp_path / "new"),
     )
     assert code == 2
     assert "gcd" in err
+    assert not (tmp_path / "new").exists()
 
 
 def test_construct_non_bent_family_exits_nonzero(tmp_path, capsys):
@@ -180,23 +181,63 @@ def test_info(capsys):
     assert data["order"] == tower.order
 
 
+# one construct case per registry name, each missing exactly one needed field
+MISSING_FIELD = {
+    "quadratic": ((), "a"),
+    "binomial_3": ((), "b"),
+    "binomial_16": ((), "b"),
+    "lk_coeff": (("--r", "2"), "coeffs"),
+    "qu_family": (("--r", "4", "--I", "2", "--J", "0", "--a", "auto"), "c"),
+    "g_lk2": (("--a", "auto"), "J"),
+    "cubic_family": (("--J", "2", "--a", "auto"), "I"),
+    "cubic": (("--I", "5", "--a", "auto"), "J"),
+    "trinomial_sum": (("--a", "auto"), "k"),
+    "trinomial": (("--k", "4"), "a"),
+}
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, field",
     [
-        ("expand", "--m", "5"),
-        ("construct", "--family", "lk", "--m", "5", "--r", "2"),
-        ("opoly", "--m", "5", "--terms", '[{"e":6}]'),
-        ("opoly", "--m", "5", "--terms", '[{"c":"0100"}]'),
+        (("expand", "--m", "5"), None),
+        (("construct", "--family", "lk", "--m", "5", "--r", "2"), "a"),
+        (("opoly", "--m", "5", "--terms", '[{"e":6}]'), None),
+        (("opoly", "--m", "5", "--terms", '[{"c":"0100"}]'), None),
+        *(
+            (("construct", "--family", family, "--m", "7", *rest), field)
+            for family, (rest, field) in MISSING_FIELD.items()
+        ),
     ],
-    ids=["expand_no_d_or_F", "construct_lk_no_a", "opoly_term_no_c", "opoly_term_no_e"],
+    ids=[
+        "expand_no_d_or_F", "construct_lk_no_a", "opoly_term_no_c", "opoly_term_no_e",
+        *(f"construct_{family}_no_{field}" for family, (_, field) in MISSING_FIELD.items()),
+    ],
 )
-def test_missing_input_is_bad_input(capsys, argv):
+def test_missing_input_is_bad_input(capsys, argv, field):
     # exit 2 (bad input) with one error line, never a traceback or exit 1
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+    if field is not None:
+        assert err.endswith(f" needs parameter(s) {field}\n")
+
+
+def test_missing_field_cases_cover_the_registry():
+    assert set(MISSING_FIELD) | {"lk"} == set(niho.FAMILIES)
+
+
+def test_construct_missing_param_leaves_no_out_dir(tmp_path, capsys):
+    # the family parameters are checked before --a auto runs and --out is made
+    out_dir = tmp_path / "new"
+    code, out, err = run(
+        capsys, "construct", "--family", "lk", "--m", "5", "--a", "auto", "--out", str(out_dir),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: family lk needs parameter(s) r\n"
+    assert not out_dir.exists()
 
 
 def test_walsh_unreadable_table_is_bad_input(tmp_path, capsys):

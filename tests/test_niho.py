@@ -1,10 +1,17 @@
+import dataclasses
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import extract_class_h, primitive_unit, scale_input, tt_of, unit_trace_element
+from conftest import (
+    extract_class_h,
+    is_affine_difference,
+    primitive_unit,
+    scale_input,
+    tt_of,
+    unit_trace_element,
+)
 from nihobent import (
     FamilyParams,
     OPolyMap,
@@ -22,63 +29,25 @@ from nihobent import (
     build_trinomial_sum,
     coset_leader,
     evaluate,
-    is_affine_difference,
     is_bent,
     lk_exponents,
     make_tower,
     niho_profile,
-    normalize_exponent,
-    two_weight,
 )
+from nihobent.niho import FAMILIES
 
 
 # ---- exponent arithmetic -------------------------------------------------------
-
-
-def test_normalize_fraction_half():
-    ne = normalize_exponent(4, Fraction(1, 2))
-    assert ne.s == (1 << 3) + 1 == 9
-
-
-def test_normalize_direct_formula():
-    ne = normalize_exponent(4, 3)
-    assert ne.d == 46
-    assert ne.conjugate == (46 << 4) % 255
-    assert ne.d % 15 == 1
-
-
-def test_normalize_quadratic_coset():
-    ne = normalize_exponent(5, (1 << 4) + 1)
-    assert ne.leader == coset_leader((1 << 5) + 1, 10)
-
-
-def test_normalize_rejects_bad_denominator():
-    with pytest.raises(ValueError):
-        normalize_exponent(4, Fraction(1, 17))  # 17 = 2^4 + 1
-
-
-def test_normalize_rejects_linear():
-    with pytest.raises(ValueError):
-        normalize_exponent(4, 1)
-    with pytest.raises(ValueError):
-        normalize_exponent(4, 18)  # 18 = 1 mod 17
-
-
-def test_two_weight():
-    assert two_weight(0) == 0
-    assert two_weight(0b101101) == 4
-    with pytest.raises(ValueError):
-        two_weight(-1)
 
 
 def test_two_weight_ladder_exponent():
     # m=5, r=3, i=2 = 2^1: weight r - 1 + 1 = 3
     m, r, i = 5, 3, 2
     d = ((1 << m) - 1) * ((1 << (m - r)) * i + 1) + 1
-    assert two_weight(d) == 3
+    assert d.bit_count() == 3
     # odd i gives the maximal weight r + 1
     d = ((1 << m) - 1) * ((1 << (m - r)) * 1 + 1) + 1
-    assert two_weight(d) == r + 1
+    assert d.bit_count() == r + 1
 
 
 def test_coset_leader_invariance():
@@ -96,7 +65,7 @@ def test_coset_leader_invariance():
 @pytest.mark.parametrize("m", [3, 4])
 def test_quadratic_bent_every_subfield_unit(m):
     tower = make_tower(m)
-    for a in tower.subfield_elements()[1:]:
+    for a in tower.tables.subfield_elements[1:]:
         tt = evaluate(tower, build_quadratic(tower, int(a)))
         assert is_bent(tt, tower).bent
         assert algebraic_degree(tt) == 2
@@ -295,7 +264,7 @@ def test_qu_family_induced_map_is_monomial_plus_constant(m, r, c, I, J, label):
     g_table, mu = got
     A3 = tower.add(tower.add(tower.pow(a, 1 << I), tower.pow(a, 1 << J)), 1)
     assert mu == A3
-    zs = tower.subfield_elements()
+    zs = tower.tables.subfield_elements
     f_table = g_table ^ tower.mul_scalar_vec(A3, zs)
     mono = tower.pow_vec(zs, (1 << I) + (1 << J))
     diff = set((f_table ^ mono).tolist())
@@ -367,7 +336,7 @@ def test_cubic_family_induced_map():
     e3 = 3 * (1 << (I - 1)) + (1 << J)
     A3 = tower.add(tower.pow(a, e3), tower.pow(tower.add(a, 1), e3))
     assert mu == A3
-    zs = tower.subfield_elements()
+    zs = tower.tables.subfield_elements
     f_table = g_table ^ tower.mul_scalar_vec(A3, zs)
     mono = tower.pow_vec(zs, e3)
     assert len(set((f_table ^ mono).tolist())) == 1
@@ -478,15 +447,38 @@ def test_family_params_rejects_unknown():
 
 
 def test_build_dispatch_all_families(tower4):
+    # every registry name, aliases included, reaches its own constructor
     a4 = unit_trace_element(tower4)
-    cases = [
-        FamilyParams(family="quadratic", m=4, a=1),
-        FamilyParams(family="binomial_3", m=4, b=1),
-        FamilyParams(family="binomial_16", m=4, b=1),
-        FamilyParams(family="lk", m=4, r=3, a=a4),
-        FamilyParams(family="g_lk2", m=4, J=1, a=a4),
-        FamilyParams(family="lk_coeff", m=4, r=2, coeffs=(1, 1)),
-    ]
-    for params in cases:
-        tt = evaluate(tower4, build(tower4, params))
-        assert len(tt) == tower4.size
+    tower7 = make_tower(7)
+    a7 = unit_trace_element(tower7)
+    cases = {
+        "quadratic": (FamilyParams("quadratic", 4, a=1), build_quadratic(tower4, 1)),
+        "binomial_3": (FamilyParams("binomial_3", 4, b=1), build_binomial(tower4, 1, "d2_3")),
+        "binomial_16": (FamilyParams("binomial_16", 4, b=1), build_binomial(tower4, 1, "d2_16")),
+        "lk": (FamilyParams("lk", 4, r=3, a=a4), build_lk(tower4, a4, 3)),
+        "lk_coeff": (FamilyParams("lk_coeff", 4, r=2, coeffs=(1, 1)), build_lk_coeff(tower4, 2, [1, 1])),
+        "qu_family": (
+            FamilyParams("qu_family", 4, r=4, c=1, I=2, J=0, a=a4),
+            build_qu_family(tower4, 4, 1, 2, 0, a4),
+        ),
+        "g_lk2": (FamilyParams("g_lk2", 4, J=1, a=a4), build_g_lk2(tower4, 1, a4)),
+        "cubic_family": (
+            FamilyParams("cubic_family", 4, I=2, J=0, a=a4),
+            build_cubic_family(tower4, 2, 0, a4),
+        ),
+        "trinomial_sum": (
+            FamilyParams("trinomial_sum", 7, k=4, a=a7),
+            build_trinomial_sum(tower7, 4, a7),
+        ),
+    }
+    aliases = {"cubic": "cubic_family", "trinomial": "trinomial_sum"}
+    assert set(FAMILIES) == set(cases) | set(aliases)
+    for name in FAMILIES:
+        canonical = aliases.get(name, name)
+        params, expected = cases[canonical]
+        params = dataclasses.replace(params, family=name)
+        assert params.family == canonical
+        tower = make_tower(params.m)
+        poly = build(tower, params)
+        assert poly == expected
+        assert len(evaluate(tower, poly)) == tower.size
