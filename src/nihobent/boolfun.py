@@ -108,6 +108,9 @@ def _niho_shift(e: int, q: int) -> int | None:
 def _polar_table(tower: FieldTower, g: np.ndarray) -> np.ndarray:
     """Table of t = v u -> Tr_m(v g(u)), with g indexed by u_j = gamma^((q-1) j).
 
+    Both Niho forms come through here: evaluate folds its Niho terms into g,
+    and bridge.bivariate_truth_table reads g off the class-H map G.
+
     Writing log t = (q+1) a + b, gamma^b = gamma^((q+1) i_b) u_(j_b), so
     column b of the table is the m-sequence Tr_m(gamma^((q+1) x)) shifted by
     i_b + log_(gamma^(q+1)) g(u_(j_b)), or zero where g(u_(j_b)) = 0.

@@ -2,14 +2,16 @@
 
 A class-H function is Tr_m(x G(y/x)) for x != 0 and Tr_m(mu y) on the
 x = 0 line, with (x, y) ranging over GF(2^m)^2 glued into GF(2^{2m}) by a
-basis element a.  The other direction expands a single subfield monomial
-Tr_m(lambda x^(2^m - d) y^d) into an explicit univariate trace polynomial
-under the substitution x = t + t^(2^m), y = a t + a^(2^m) t^(2^m): a
-linear term, a self-conjugate term, and a ladder of 2^(m-l-1) - 1 terms
-whose coefficients A_c' come in closed form (l is the position of the
-lowest set bit of d).  Summing expansions over the monomials of an
-o-polynomial and dropping the linear part yields the bent function the
-o-polynomial encodes.
+basis element a.  In the polar form t = v u of boolfun.evaluate it is
+Tr_m(v g(u)) for one array g on the unit circle, so its table costs
+O(2^m + 2^n) through the same pass.  The other direction expands a single
+subfield monomial Tr_m(lambda x^(2^m - d) y^d) into an explicit univariate
+trace polynomial under the substitution x = t + t^(2^m),
+y = a t + a^(2^m) t^(2^m): a linear term, a self-conjugate term, and a
+ladder of 2^(m-l-1) - 1 terms whose coefficients A_c' come in closed form
+(l is the position of the lowest set bit of d).  Summing expansions over
+the monomials of an o-polynomial and dropping the linear part yields the
+bent function the o-polynomial encodes.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfun import TracePolynomial
+from .boolfun import TracePolynomial, _polar_table
 from .gf2 import FieldTower, _reduce_exponent
 
 
@@ -32,26 +34,28 @@ class BivariateSpec:
 
 
 def bivariate_truth_table(tower: FieldTower, spec: BivariateSpec) -> np.ndarray:
-    """Truth table of the class-H function, indexed by t = a x + y."""
-    m = tower.m
+    """Truth table of the class-H function, indexed by t = a x + y.
+
+    With t = v u as in boolfun.evaluate, x = v (u + u^-1) / (a + a^q) and
+    y / x = z'(u) = (a^q u + a u^-1) / (u + u^-1), so the table is
+    Tr_m(v g(u)) with g(u) = (u + u^-1) G(z'(u)) / (a + a^q) for u != 1 and
+    g(1) = mu on the x = 0 line.
+    """
     a = spec.a
     if tower.in_subfield(a):
         raise ValueError(f"basis element a = {a:#x} must lie outside the subfield")
     if not tower.in_subfield(spec.mu):
         raise ValueError("mu must be a subfield element")
-    tables = tower.tables
-    zs = tables.subfield_elements
-    bits = np.zeros(tower.size, dtype=np.uint8)
-    # x = 0 line: t = y, value Tr_m(mu y)
-    mu_y = tower.mul_scalar_vec(spec.mu, zs)
-    bits[zs] = tables.subfield_trace_bits[mu_y]
-    g_table = spec.G.table
-    for x in zs[1:]:
-        x = int(x)
-        z = tower.mul_scalar_vec(tower.inv(x), zs)  # z = y / x
-        vals = tower.mul_scalar_vec(x, g_table[tables.subfield_index[z]])
-        t = tower.mul(a, x) ^ zs
-        bits[t] = tables.subfield_trace_bits[vals]
+    tables, order = tower.tables, tower.order
+    q = 1 << tower.m
+    lu = (q - 1) * np.arange(q + 1, dtype=np.int64)  # u_j = gamma^((q-1) j)
+    u, u_inv = tables.exp[lu % order], tables.exp[-lu % order]
+    s = u ^ u_inv  # zero only at u = 1, where z' comes out 0 and is unused
+    aq = tower.frobenius(a, tower.m)
+    z = tower.mul_vec(tower.mul_vec(aq, u) ^ tower.mul_vec(a, u_inv), tower.pow_vec(s, -1))
+    g = tower.mul_vec(tower.mul_vec(s, spec.G.table[tables.subfield_index[z]]), tower.inv(a ^ aq))
+    g[0] = spec.mu
+    bits = _polar_table(tower, g)
     bits.setflags(write=False)
     return bits
 
@@ -284,25 +288,14 @@ def verify_coefficient_properties(tower: FieldTower, res: ExpansionResult) -> Pr
 
 def expansion_to_json(tower: FieldTower, res: ExpansionResult) -> dict:
     """JSON form with lambda folded into every coefficient."""
-    lam = res.lam
-    sc = tower.add(res.sc_pair[0], res.sc_pair[1])
+    (_, lin_c, lin_e), (_, sc_c, sc_e), *ladder = res.to_trace_polynomial(tower).terms
     return {
         "d": res.d,
         "l": res.l,
-        "linear": {
-            "coef_hex": tower.element_hex(tower.mul(lam, res.linear_coef)),
-            "exp": res.linear_exponent,
-        },
-        "self_conj": {
-            "coef_hex": tower.element_hex(tower.mul(lam, sc)),
-            "exp": res.sc_exponent,
-        },
+        "linear": {"coef_hex": tower.element_hex(lin_c), "exp": lin_e},
+        "self_conj": {"coef_hex": tower.element_hex(sc_c), "exp": sc_e},
         "terms": [
-            {
-                "cprime": c,
-                "coef_hex": tower.element_hex(tower.mul(lam, A)),
-                "exp": res.ladder_exponent(c),
-            }
-            for c, A in enumerate(res.coeffs, start=1)
+            {"cprime": c, "coef_hex": tower.element_hex(A), "exp": e}
+            for c, (_, A, e) in enumerate(ladder, start=1)
         ],
     }

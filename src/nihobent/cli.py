@@ -212,9 +212,13 @@ def cmd_expand(args) -> int:
         res = bridge.expand_monomial(tower, args.d, lam, a)
         rec = {"expansion": bridge.expansion_to_json(tower, res)}
         if args.check:
-            uni = boolfun.evaluate(tower, res.to_trace_polynomial(tower))
-            biv = bridge.bivariate_monomial_table(tower, args.d, lam, a)
-            rec["pointwise_equal"] = bool(np.array_equal(uni, biv))
+
+            def pointwise_equal(expansion):
+                uni = boolfun.evaluate(tower, expansion.to_trace_polynomial(tower))
+                biv = bridge.bivariate_monomial_table(tower, expansion.d, expansion.lam, a)
+                return bool(np.array_equal(uni, biv))
+
+            rec["pointwise_equal"] = pointwise_equal(res)
             props = bridge.verify_coefficient_properties(tower, res)
             rec["properties"] = {
                 "conjugation": props.conjugation_ok,
@@ -223,19 +227,17 @@ def cmd_expand(args) -> int:
                 "all_nonzero": props.all_nonzero,
             }
             sub = tower.tables.subfield_elements
-            sweeps = []
-            for _ in range(args.sweeps):
-                lam_r = int(sub[rng.randrange(1, len(sub))])
-                res_r = bridge.expand_monomial(tower, args.d, lam_r, a)
-                uni_r = boolfun.evaluate(tower, res_r.to_trace_polynomial(tower))
-                biv_r = bridge.bivariate_monomial_table(tower, args.d, lam_r, a)
-                sweeps.append(bool(np.array_equal(uni_r, biv_r)))
-            rec["random_lambda_sweeps"] = sweeps
+            rec["random_lambda_sweeps"] = [
+                pointwise_equal(
+                    bridge.expand_monomial(tower, args.d, int(sub[rng.randrange(1, len(sub))]), a)
+                )
+                for _ in range(args.sweeps)
+            ]
             ok = (
                 rec["pointwise_equal"]
                 and bool(props)
                 and props.all_nonzero
-                and all(sweeps)
+                and all(rec["random_lambda_sweeps"])
             )
         records.append(rec)
     return _emit(_report("expand", tower, t0, results=records), ok)
@@ -248,10 +250,18 @@ def cmd_tables(args) -> int:
     rows_out = []
     ok = True
 
-    def pipeline_degree(exponents):
-        F = opoly.OPolyMap.from_terms(tower, [(1, e) for e in exponents])
-        tt = boolfun.evaluate(tower, bridge.opoly_to_univariate(tower, F, a))
-        return boolfun.algebraic_degree(tt), boolfun.is_bent(tt, tower).bent
+    def cell_record(head, cell, pipe_map):
+        """Measured degree, bentness and pipeline match of one cell; the caller adds `pass`."""
+        cellmap = opoly.OPolyMap.from_terms(tower, [(1, e) for e in cell.exponents])
+        tt = boolfun.evaluate(tower, bridge.opoly_to_univariate(tower, cellmap, a))
+        return {
+            **head,
+            "exponents": list(cell.exponents),
+            "expected_degree": cell.degree,
+            "measured_degree": boolfun.algebraic_degree(tt),
+            "bent": boolfun.is_bent(tt, tower).bent,
+            "matches_pipeline": cellmap == pipe_map,
+        }
 
     for row in opoly.equivalence_table(args.m):
         entry = {"family": row.family, "cells": []}
@@ -265,44 +275,22 @@ def cmd_tables(args) -> int:
             if not cell.exponents:
                 entry["cells"].append({"column": label, "note": cell.condition})
                 continue
-            measured, bent = pipeline_degree(cell.exponents)
-            cellmap = opoly.OPolyMap.from_terms(tower, [(1, e) for e in cell.exponents])
-            match = cellmap == pipe_map
-            passed = bent and (cell.degree is None or measured == cell.degree) and match
-            ok = ok and passed
-            entry["cells"].append(
-                {
-                    "column": label,
-                    "exponents": list(cell.exponents),
-                    "expected_degree": cell.degree,
-                    "measured_degree": measured,
-                    "bent": bent,
-                    "matches_pipeline": match,
-                    "pass": passed,
-                }
+            rec = cell_record({"column": label}, cell, pipe_map)
+            rec["pass"] = (
+                rec["bent"]
+                and (cell.degree is None or rec["measured_degree"] == cell.degree)
+                and rec["matches_pipeline"]
             )
+            ok = ok and rec["pass"]
+            entry["cells"].append(rec)
         for cell in row.g3_candidates:
-            measured, bent = pipeline_degree(cell.exponents)
-            cellmap = opoly.OPolyMap.from_terms(tower, [(1, e) for e in cell.exponents])
-            match = cellmap == g3_pipe
-            passed = bent and measured == cell.degree
+            rec = cell_record({"column": "G3", "condition": cell.condition}, cell, g3_pipe)
+            rec["pass"] = rec["bent"] and rec["measured_degree"] == cell.degree
             if row.ambiguous_g3:
-                status = {"pass": passed, "ambiguous": True}
+                rec["ambiguous"] = True
             else:
-                status = {"pass": passed}
-                ok = ok and passed
-            entry["cells"].append(
-                {
-                    "column": "G3",
-                    "condition": cell.condition,
-                    "exponents": list(cell.exponents),
-                    "expected_degree": cell.degree,
-                    "measured_degree": measured,
-                    "bent": bent,
-                    "matches_pipeline": match,
-                    **status,
-                }
-            )
+                ok = ok and rec["pass"]
+            entry["cells"].append(rec)
         rows_out.append(entry)
     report = _report("tables", tower, t0, basis_a_hex=tower.element_hex(a), rows=rows_out)
     return _emit(report, ok)

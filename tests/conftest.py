@@ -119,3 +119,23 @@ def is_affine_difference(f, g):
     if len(f) != len(g):
         raise ValueError(f"table sizes differ: {len(f)} vs {len(g)}")
     return algebraic_degree(f ^ g) <= 1
+
+
+def bivariate_line_oracle(tower, spec):
+    """Class-H table built line by line over x; oracle for bivariate_truth_table."""
+    a = spec.a
+    tables = tower.tables
+    zs = tables.subfield_elements
+    bits = np.zeros(tower.size, dtype=np.uint8)
+    # x = 0 line: t = y, value Tr_m(mu y)
+    mu_y = tower.mul_scalar_vec(spec.mu, zs)
+    bits[zs] = tables.subfield_trace_bits[mu_y]
+    g_table = spec.G.table
+    for x in zs[1:]:
+        x = int(x)
+        z = tower.mul_scalar_vec(tower.inv(x), zs)  # z = y / x
+        vals = tower.mul_scalar_vec(x, g_table[tables.subfield_index[z]])
+        t = tower.mul(a, x) ^ zs
+        bits[t] = tables.subfield_trace_bits[vals]
+    bits.setflags(write=False)
+    return bits

@@ -6,12 +6,10 @@ nothing is tolerance-calibrated.
 """
 
 import math
-from itertools import combinations
 
 import numpy as np
-import pytest
 
-from conftest import is_affine_difference, primitive_unit, scale_input, tt_of, walsh_naive
+from conftest import is_affine_difference, scale_input, tt_of, walsh_naive
 from nihobent import (
     OPolyMap,
     algebraic_degree,
@@ -25,7 +23,6 @@ from nihobent import (
     build_trinomial_sum,
     catalog,
     evaluate,
-    is_bent,
     is_opolynomial,
     expand_monomial,
     make_tower,

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import frobenius_input, is_affine_difference, primitive_unit, scale_input, tt_of
+from conftest import (
+    bivariate_line_oracle,
+    frobenius_input,
+    is_affine_difference,
+    primitive_unit,
+    scale_input,
+    tt_of,
+)
 from nihobent import (
     BivariateSpec,
     OPolyMap,
@@ -264,6 +271,30 @@ def test_bivariate_rejects_subfield_basis(tower3):
     G = OPolyMap.monomial(tower3, 2)
     with pytest.raises(ValueError):
         bivariate_truth_table(tower3, BivariateSpec(G, 0, 1))
+    with pytest.raises(ValueError, match="mu"):
+        bivariate_truth_table(tower3, BivariateSpec(G, 2, flagged(tower3)))
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+def test_bivariate_matches_line_oracle(m):
+    # the polar table equals the line-by-line one for o-polynomials and for
+    # arbitrary maps, on the x = 0 line (mu) and for bases other than flagged
+    from nihobent import catalog
+
+    tower = make_tower(m)
+    rng = np.random.default_rng(100 + m)
+    sub = tower.tables.subfield_elements
+    off = np.nonzero(~tower.tables.subfield_mask)[0]
+    maps = [entry.to_map(tower) for entry in catalog(m)[:3]]
+    maps.append(OPolyMap(tower, sub[rng.integers(0, len(sub), len(sub))]))
+    for G in maps:
+        mu = int(sub[rng.integers(1, len(sub))])
+        for spec in (
+            BivariateSpec(G, 0, flagged(tower)),
+            BivariateSpec(G, mu, int(rng.choice(off))),
+        ):
+            expected = bivariate_line_oracle(tower, spec)
+            assert np.array_equal(bivariate_truth_table(tower, spec), expected), (m, G, spec.mu, spec.a)
 
 
 # ---- the m = 3 worked pipeline --------------------------------------------------

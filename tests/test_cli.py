@@ -4,7 +4,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from nihobent import algebraic_degree, is_bent, make_tower, niho, nonlinearity, table_from_hex

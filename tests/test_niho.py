@@ -14,8 +14,6 @@ from conftest import (
 )
 from nihobent import (
     FamilyParams,
-    OPolyMap,
-    TracePolynomial,
     algebraic_degree,
     binomial_exponents,
     build,
