@@ -300,13 +300,35 @@ def table_from_hex(s: str) -> np.ndarray:
     return bits
 
 
-_CSV_BLOCK = 1 << 14  # rows formatted at a time, so only one block of row strings is alive
+_FORMAT_BLOCK = 1 << 16  # rows formatted at a time; no temporary spans the whole spectrum
+_HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+
+
+def _format_rows(spec: np.ndarray, label_bytes: int, sep: bytes, end: bytes):
+    """Text blocks of rows `w_hex sep value end`, each block a NUL-padded uint8 matrix."""
+    lead = 2 * label_bytes + len(sep)
+    for i in range(0, len(spec), _FORMAT_BLOCK):
+        block = spec[i : i + _FORMAT_BLOCK]
+        values = np.unique(block)
+        strings = np.array([str(v).encode() for v in values.tolist()])  # NUL-padded
+        width = strings.dtype.itemsize
+        rows = np.empty((len(block), lead + width + len(end)), dtype=np.uint8)
+        w = np.arange(i, i + len(block))
+        for k in range(label_bytes):  # byte k of w, little-endian, as element_hex writes it
+            rows[:, 2 * k] = _HEX_DIGITS[w >> (8 * k + 4) & 15]
+            rows[:, 2 * k + 1] = _HEX_DIGITS[w >> (8 * k) & 15]
+        rows[:, 2 * label_bytes : lead] = np.frombuffer(sep, dtype=np.uint8)
+        chars = strings.view(np.uint8).reshape(-1, width)
+        rows[:, lead : lead + width] = np.take(chars, np.searchsorted(values, block), axis=0)
+        rows[:, lead + width :] = np.frombuffer(end, dtype=np.uint8)
+        yield rows[rows != 0].tobytes().decode("ascii")
 
 
 def spectrum_to_csv(spec: np.ndarray, tower: FieldTower) -> str:
-    """Rows `w_hex,value` in w order, each ending in a newline."""
-    element_hex = tower.element_hex
-    return "".join(
-        "".join(f"{element_hex(w)},{v}\n" for w, v in enumerate(spec[i : i + _CSV_BLOCK].tolist(), i))
-        for i in range(0, len(spec), _CSV_BLOCK)
-    )
+    """Rows `w_hex,value` in w order, each ending in a newline, written 2^16 rows at a time."""
+    return "".join(_format_rows(spec, (tower.n + 7) // 8, b",", b"\n"))
+
+
+def spectrum_to_json(spec: np.ndarray) -> str:
+    """The text of json.dumps([int(v) for v in spec]), written blockwise like spectrum_to_csv."""
+    return "".join(["[", *_format_rows(spec[:-1], 0, b"", b", "), *map(str, spec[-1:].tolist()), "]"])

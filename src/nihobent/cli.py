@@ -11,7 +11,8 @@ Subcommands:
 Every report is JSON with a top-level "schema": 1.  The process exits 0
 iff all requested checks pass, 1 if a check fails, and 2 on bad input: a
 missing, conflicting or malformed argument, a table file that cannot be
-read, or an output directory that cannot be written.
+read, or an output directory that cannot be written.  It also exits 2, with
+no message, when stdout is closed before the report is written.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ def _report(command: str, tower, t0: float | None = None, **fields) -> dict:
 
 
 def _emit(report: dict, ok: bool) -> int:
-    print(json.dumps(report, indent=2))
+    print(json.dumps(report, indent=2), flush=True)
     return 0 if ok else 1
 
 
@@ -190,6 +191,8 @@ def cmd_opoly(args) -> int:
 def cmd_expand(args) -> int:
     if args.F is None and args.d is None:
         raise ValueError("expand needs --d or --F")
+    if args.sweeps < 0:
+        raise ValueError(f"--sweeps must be >= 0, got {args.sweeps}")
     t0 = time.perf_counter()
     tower = make_tower(args.m)
     a = _resolve_a(tower, args.a, require_primitive=True)
@@ -316,7 +319,7 @@ def cmd_walsh(args) -> int:
         path.write_text(boolfun.spectrum_to_csv(spec, tower))
     else:
         path = out / f"{stem}.spectrum.json"
-        path.write_text(json.dumps([int(v) for v in spec]))
+        path.write_text(boolfun.spectrum_to_json(spec))
     report = _report("walsh", tower, t0, functions=[record], files={"spectrum": str(path)})
     return _emit(report, True)
 
@@ -387,6 +390,8 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        return 2  # stdout was closed before the report was written (_emit flushes)
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ class OPolyMap:
         table = np.asarray(table, dtype=np.int64)
         if len(table) != 1 << self.m:
             raise ValueError(f"table must have 2^{self.m} entries, got {len(table)}")
-        if not tower.tables.subfield_mask[table].all():
+        if ((table < 0) | (table >= tower.size)).any() or not tower.tables.subfield_mask[table].all():
             raise ValueError("table values must lie in the subfield")
         table = table.copy()
         table.setflags(write=False)

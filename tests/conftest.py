@@ -1,4 +1,5 @@
 import functools
+import json
 
 import numpy as np
 import pytest
@@ -139,3 +140,13 @@ def bivariate_line_oracle(tower, spec):
         bits[t] = tables.subfield_trace_bits[vals]
     bits.setflags(write=False)
     return bits
+
+
+def spectrum_csv_oracle(spec, tower):
+    """Rows `w_hex,value` formatted one at a time; oracle for boolfun.spectrum_to_csv."""
+    return "".join(f"{tower.element_hex(w)},{v}\n" for w, v in enumerate(spec.tolist()))
+
+
+def spectrum_json_oracle(spec):
+    """The spectrum through json.dumps; oracle for boolfun.spectrum_to_json."""
+    return json.dumps([int(v) for v in spec])

@@ -4,7 +4,13 @@ import random
 import numpy as np
 import pytest
 
-from conftest import is_affine_difference, tt_of, walsh_naive
+from conftest import (
+    is_affine_difference,
+    spectrum_csv_oracle,
+    spectrum_json_oracle,
+    tt_of,
+    walsh_naive,
+)
 from nihobent import (
     RepresentationError,
     TracePolynomial,
@@ -29,7 +35,13 @@ from nihobent import (
     table_to_hex,
     walsh,
 )
-from nihobent.boolfun import _check_table, _evaluate_terms, _gram_permutation
+from nihobent.boolfun import (
+    _FORMAT_BLOCK,
+    _check_table,
+    _evaluate_terms,
+    _gram_permutation,
+    spectrum_to_json,
+)
 
 AND2 = np.array([0, 0, 0, 1], dtype=np.uint8)  # x1*x2 with index bits as inputs
 
@@ -257,14 +269,39 @@ def test_spectrum_csv_format(tower3):
     w, v = lines[5].split(",")
     assert tower3.element_from_hex(w) == 5
     assert int(v) in (-8, 8)
-    # a spectrum longer than one formatting block: every row, in order, once
-    tower = make_tower(8)
-    spec = np.random.default_rng(8).integers(-256, 257, tower.size)
-    text = spectrum_to_csv(spec, tower)
-    assert text.endswith("\n")
-    rows = text[:-1].split("\n")
-    assert [tower.element_from_hex(r.split(",")[0]) for r in rows] == list(range(tower.size))
-    assert [int(r.split(",")[1]) for r in rows] == spec.tolist()
+    # values with many digits and many distinct values per block, over several blocks
+    tower = make_tower(9)
+    spec = np.random.default_rng(8).integers(-(1 << 40), 1 << 40, tower.size)
+    assert len(spec) > 2 * _FORMAT_BLOCK
+    assert spectrum_to_csv(spec, tower) == spectrum_csv_oracle(spec, tower)
+    assert spectrum_to_json(spec) == spectrum_json_oracle(spec)
+
+
+@pytest.mark.parametrize("kind", ["random", "bent", "constant"])
+@pytest.mark.parametrize("m", range(2, 11))
+def test_spectrum_text_matches_per_row_oracle(m, kind):
+    # byte for byte; labels take 1, 2 and 3 bytes at n = 4, 10 and 20, and
+    # from m = 9 on the spectrum spans several formatting blocks
+    tower = make_tower(m)
+    if kind == "random":
+        tt = np.random.default_rng(m).integers(0, 2, tower.size, dtype=np.uint8)
+    elif kind == "bent":
+        tt = evaluate(tower, build_quadratic(tower, 1))
+    else:
+        tt = np.ones(tower.size, dtype=np.uint8)
+    spec = walsh(tt, tower)
+    if kind == "constant":
+        assert spec[0] == -tower.size and not spec[1:].any()
+    csv = spectrum_to_csv(spec, tower)
+    assert csv == spectrum_csv_oracle(spec, tower)
+    assert len(csv.split(",", 1)[0]) == 2 * ((tower.n + 7) // 8)
+    assert spectrum_to_json(spec) == spectrum_json_oracle(spec)
+
+
+def test_spectrum_json_of_short_spectra():
+    for spec in ([], [7], [-4, 0]):
+        spec = np.array(spec, dtype=np.int64)
+        assert spectrum_to_json(spec) == spectrum_json_oracle(spec)
 
 
 def test_polynomial_addition(tower3):

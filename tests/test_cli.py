@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -6,7 +7,16 @@ from pathlib import Path
 
 import pytest
 
-from nihobent import algebraic_degree, is_bent, make_tower, niho, nonlinearity, table_from_hex
+from conftest import spectrum_csv_oracle, spectrum_json_oracle
+from nihobent import (
+    algebraic_degree,
+    is_bent,
+    make_tower,
+    niho,
+    nonlinearity,
+    table_from_hex,
+    walsh,
+)
 from nihobent.cli import main
 
 
@@ -171,6 +181,34 @@ def test_walsh_roundtrip(tmp_path, capsys):
     assert all(int(line.split(",")[1]) in (-8, 8) for line in csv)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_walsh_file_matches_per_row_oracle(tmp_path, capsys, fmt):
+    run(
+        capsys, "construct", "--family", "quadratic", "--m", "5",
+        "--a", "01", "--out", str(tmp_path),
+    )
+    table = tmp_path / "quadratic_m5.tt.hex"
+    code, out, _ = run(capsys, "walsh", str(table), "--out", str(tmp_path), "--format", fmt)
+    assert code == 0
+    text = Path(json.loads(out)["files"]["spectrum"]).read_text()
+    tower = make_tower(5)
+    spec = walsh(table_from_hex(table.read_text().strip()), tower)
+    oracle = spectrum_csv_oracle(spec, tower) if fmt == "csv" else spectrum_json_oracle(spec)
+    assert text == oracle
+
+
+class ClosedPipe(io.StringIO):
+    def write(self, s):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_exits_2_without_traceback(monkeypatch, capsys):
+    # e.g. `nihobent opoly ... | head`: nothing could be written, so no check result
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["opoly", "--m", "3", "--terms", '[{"c":"01","e":-1}]']) == 2
+    assert capsys.readouterr().err == ""
+
+
 def test_info(capsys):
     code, out, _ = run(capsys, "info", "--m", "3")
     assert code == 0
@@ -199,6 +237,7 @@ MISSING_FIELD = {
     "argv, field",
     [
         (("expand", "--m", "5"), None),
+        (("expand", "--m", "3", "--d", "5", "--check", "--sweeps", "-1"), None),
         (("construct", "--family", "lk", "--m", "5", "--r", "2"), "a"),
         (("opoly", "--m", "5", "--terms", '[{"e":6}]'), None),
         (("opoly", "--m", "5", "--terms", '[{"c":"0100"}]'), None),
@@ -208,7 +247,8 @@ MISSING_FIELD = {
         ),
     ],
     ids=[
-        "expand_no_d_or_F", "construct_lk_no_a", "opoly_term_no_c", "opoly_term_no_e",
+        "expand_no_d_or_F", "expand_negative_sweeps", "construct_lk_no_a",
+        "opoly_term_no_c", "opoly_term_no_e",
         *(f"construct_{family}_no_{field}" for family, (_, field) in MISSING_FIELD.items()),
     ],
 )

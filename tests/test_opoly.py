@@ -284,6 +284,10 @@ def test_equivalence_table_row_shapes():
     assert rows7["cubic"].g3_candidates[0].exponents == (6,)
 
 
-def test_table_values_stay_in_subfield(tower4):
+def test_table_values_stay_in_subfield(tower3, tower4):
     with pytest.raises(ValueError):
         OPolyMap(tower4, np.full(16, 2, dtype=np.int64))
+    # values outside [0, 2^n); a negative one would index the subfield mask from its end
+    for bad in (-63, tower3.size):
+        with pytest.raises(ValueError, match="subfield"):
+            OPolyMap(tower3, np.array([bad] + [0] * 7))
