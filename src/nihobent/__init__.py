@@ -8,7 +8,6 @@ desk scale.
 
 from .gf2 import FieldTower, find_unit_relative_trace, is_irreducible, make_tower, smallest_irreducible
 from .boolfun import (
-    BentVerdict,
     RepresentationError,
     TracePolynomial,
     algebraic_degree,
@@ -26,7 +25,7 @@ from .boolfun import (
 )
 from .niho import (
     FamilyParams,
-    binomial_exponents,
+    binomial_exponent,
     build,
     build_binomial,
     build_cubic_family,
@@ -36,16 +35,10 @@ from .niho import (
     build_qu_family,
     build_quadratic,
     build_trinomial_sum,
-    coset_leader,
     lk_exponents,
-    niho_profile,
 )
 from .opoly import (
-    CatalogEntry,
     OPolyMap,
-    OPolyVerdict,
-    TableCell,
-    TableRow,
     catalog,
     interpolate_terms,
     inverse_map,
@@ -56,8 +49,6 @@ from .opoly import (
 )
 from .bridge import (
     BivariateSpec,
-    ExpansionResult,
-    PropertyReport,
     bivariate_monomial_table,
     bivariate_truth_table,
     expansion_to_json,

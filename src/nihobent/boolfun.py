@@ -24,17 +24,16 @@ from .gf2 import FieldTower, _reduce_exponent
 
 
 class RepresentationError(ValueError):
-    """A trace term was evaluated outside its declared source field."""
+    """A trace term is not Niho, so the polar fold of `evaluate` cannot take it."""
 
 
 @dataclass(frozen=True)
 class TracePolynomial:
     """Sparse sum of trace terms Tr_k(c * t^e) defining a Boolean function.
 
-    terms: tuple of (k, c, e) with k in {1, m, n}.  k = n and k = m mean the
-    absolute trace of the big field / subfield; k = 1 means c * t^e is
-    already a GF(2) value and is added raw.  A nonzero exponent is stored
-    reduced into [1, 2^n - 1], so only e = 0 is the constant (0^0 = 1).
+    terms: tuple of (k, c, e) with k in {m, n}, the absolute trace of the
+    subfield or of the big field.  A nonzero exponent is stored reduced into
+    [1, 2^n - 1], so only e = 0 is the constant (0^0 = 1).
     """
 
     m: int
@@ -45,8 +44,8 @@ class TracePolynomial:
         order = (1 << n) - 1
         fixed = []
         for k, c, e in self.terms:
-            if k not in (1, self.m, n):
-                raise ValueError(f"trace degree {k} not in {{1, {self.m}, {n}}}")
+            if k not in (self.m, n):
+                raise ValueError(f"trace degree {k} not in {{{self.m}, {n}}}")
             fixed.append((k, c, _reduce_exponent(e, order)))
         object.__setattr__(self, "terms", tuple(fixed))
 
@@ -57,13 +56,13 @@ class TracePolynomial:
 
 
 def evaluate(tower: FieldTower, poly: TracePolynomial) -> np.ndarray:
-    """Truth table of the trace polynomial over all t in GF(2^n).
+    """Truth table of a Niho trace polynomial over all t in GF(2^n).
 
-    Niho terms (e = 2^s mod 2^m - 1, k = n, or k = m with c t^e in the
-    subfield) cost O(2^m) each: with t = v u, v in GF(2^m)* and u on the
-    unit circle U of order 2^m + 1, their sum is Tr_m(v g(u)), and one
-    O(2^n) pass spreads g over the table.  Every other term takes a full
-    pass of its own.
+    Every term with c != 0 must be Niho: e = 2^s (mod 2^m - 1), and for
+    k = m also c t^e in the subfield.  With t = v u, v in GF(2^m)* and u on
+    the unit circle U of order 2^m + 1, the sum is Tr_m(v g(u)); each term
+    adds O(2^m) to g, and one O(2^n) pass spreads g over the table.  Any
+    other term raises RepresentationError naming it.
     """
     if poly.m != tower.m:
         raise ValueError(f"polynomial is over m={poly.m}, tower has m={tower.m}")
@@ -72,27 +71,28 @@ def evaluate(tower: FieldTower, poly: TracePolynomial) -> np.ndarray:
     exp, log = tower.tables.exp, tower.tables.log
     js = np.arange(q + 1, dtype=np.int64)  # u_j = gamma^((q-1) j)
     g = np.zeros(q + 1, dtype=np.int64)
-    rest = []
-    for term in poly.terms:
-        k, c, e = term
+    for k, c, e in poly.terms:
         if c == 0:
             continue
         s = _niho_shift(e, q)
-        if k == 1 or s is None:
-            rest.append(term)
-            continue
+        if s is None:
+            raise RepresentationError(
+                f"Tr_{k} term (c={c:#x}, e={e}) is not Niho: e is not 2^s mod 2^{m} - 1"
+            )
         # log of w = c u^e; Tr_m(v^(2^s) x) = Tr_m(v x^(2^(m-s))) for x in GF(2^m)
         lw = (int(log[c]) + (q - 1) * (js * e % (q + 1))) % order
         r = 1 << (m - s)
         if k == n:  # Tr_n(c t^e) = Tr_m(v^(2^s) (w + w^q))
             g ^= exp[lw * r % order] ^ exp[lw * (q * r % order) % order]
-        elif tower.tables.subfield_mask[exp[lw]].all():
-            g ^= exp[lw * r % order]
-        else:
-            rest.append(term)
+            continue
+        off = np.nonzero(~tower.tables.subfield_mask[exp[lw]])[0]
+        if len(off):  # c t^e leaves GF(2^m) at t = u_j, v = 1
+            t = int(exp[(q - 1) * int(off[0])])
+            raise RepresentationError(
+                f"Tr_{k} term (c={c:#x}, e={e}) leaves the subfield at t={t:#x}"
+            )
+        g ^= exp[lw * r % order]
     bits = _polar_table(tower, g)
-    if rest:
-        bits ^= _evaluate_terms(tower, rest)
     bits.setflags(write=False)
     return bits
 
@@ -130,32 +130,6 @@ def _polar_table(tower: FieldTower, g: np.ndarray) -> np.ndarray:
     bits = np.empty(tower.size, dtype=np.uint8)
     bits[0] = 0
     bits[1:] = by_log[log[1:]]
-    return bits
-
-
-def _evaluate_terms(tower: FieldTower, terms) -> np.ndarray:
-    """Writable table of a sum of (k, c, e) terms, one full pass per term."""
-    tables = tower.tables
-    bits = np.zeros(tower.size, dtype=np.uint8)
-    for k, c, e in terms:
-        vals = tower.mul_scalar_vec(c, tower.pow_vec(np.arange(tower.size), e))
-        if k == tower.n:
-            bits ^= tables.trace_bits[vals]
-        elif k == tower.m:
-            bad = ~tables.subfield_mask[vals]
-            if bad.any():
-                t = int(np.nonzero(bad)[0][0])
-                raise RepresentationError(
-                    f"Tr_{k} term (c={c:#x}, e={e}) leaves the subfield at t={t:#x}"
-                )
-            bits ^= tables.subfield_trace_bits[vals]
-        else:  # k == 1: raw GF(2) values
-            if not np.isin(vals, (0, 1)).all():
-                t = int(np.nonzero(~np.isin(vals, (0, 1)))[0][0])
-                raise RepresentationError(
-                    f"raw term (c={c:#x}, e={e}) is not GF(2)-valued at t={t:#x}"
-                )
-            bits ^= vals.astype(np.uint8)
     return bits
 
 

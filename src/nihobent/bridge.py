@@ -171,16 +171,14 @@ def bivariate_monomial_table(
     return bits
 
 
-def opoly_to_univariate(
-    tower: FieldTower, F: "OPolyMap", a: int, allow_odd: bool = False  # noqa: F821
-) -> TracePolynomial:
+def opoly_to_univariate(tower: FieldTower, F: "OPolyMap", a: int) -> TracePolynomial:  # noqa: F821
     """Sum the expansions of F's monomials, merge exponents, drop linears.
 
     F must be given in sparse form (its .terms).  Constant terms contribute
     only linear functions of t and are dropped alongside the aggregate
-    2^m-exponent term.  Odd exponents are rejected unless allow_odd is set:
-    every o-polynomial has even exponents for m > 1, so an odd exponent
-    marks a non-o-polynomial input.
+    2^m-exponent term.  Every o-polynomial over GF(2^m), m > 1, has even
+    exponents only, so an odd exponent is rejected as a non-o-polynomial
+    input.  Every emitted term is Niho, so `evaluate` takes the result.
     """
     m = tower.m
     sub_order = (1 << m) - 1
@@ -193,10 +191,9 @@ def opoly_to_univariate(
         d = _reduce_exponent(e, sub_order)
         if d == 0:
             continue  # constant: a linear contribution, dropped
-        if d % 2 == 1 and not allow_odd:
+        if d % 2 == 1:
             raise ValueError(
-                f"exponent {d} is odd; o-polynomials over GF(2^m), m > 1, "
-                "have even exponents only (pass allow_odd=True to force)"
+                f"exponent {d} is odd; o-polynomials over GF(2^m), m > 1, have even exponents only"
             )
         res = expand_monomial(tower, d, c, a)
         poly = res.to_trace_polynomial(tower, include_linear=False)

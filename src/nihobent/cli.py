@@ -108,7 +108,10 @@ def _parse_terms(tower, text: str, flag: str) -> list[tuple[int, int]]:
     except json.JSONDecodeError as exc:
         raise ValueError(f"cannot parse {flag} at position {exc.pos}: {exc.msg}") from None
     if not isinstance(raw, list) or not all(
-        isinstance(t, dict) and isinstance(t.get("c"), str) and isinstance(t.get("e"), int)
+        isinstance(t, dict)
+        and isinstance(t.get("c"), str)
+        and isinstance(t.get("e"), int)
+        and not isinstance(t["e"], bool)  # JSON true/false are ints to Python
         for t in raw
     ):
         raise ValueError(f'{flag} must be a JSON list of {{"c": hex string, "e": integer}}')
@@ -130,7 +133,6 @@ def cmd_construct(args) -> int:
         I=args.I,
         J=args.J,
         k=args.k,
-        d2=args.d2,
         a=_resolve_a(tower, args.a, require_primitive=False) if args.a else None,
         b=tower.element_from_hex(args.b) if args.b else None,
         coeffs=coeffs,
@@ -344,7 +346,6 @@ def main(argv=None) -> int:
     p.add_argument("--I", type=int)
     p.add_argument("--J", type=int)
     p.add_argument("--k", type=int)
-    p.add_argument("--d2", type=int)
     p.add_argument("--a", help="'auto' or little-endian hex")
     p.add_argument("--b", help="little-endian hex")
     p.add_argument("--coeffs", help="comma-separated little-endian hex values")

@@ -28,15 +28,6 @@ from .boolfun import TracePolynomial
 from .gf2 import FieldTower
 
 
-def coset_leader(e: int, n: int) -> int:
-    """Smallest element of the cyclotomic coset of e modulo 2^n - 1."""
-    if e < 0:
-        raise ValueError("exponent must be nonnegative")
-    order = (1 << n) - 1
-    e %= order
-    return min((e << j) % order for j in range(n)) if e else 0
-
-
 def _niho_d(m: int, s: int) -> int:
     order = (1 << 2 * m) - 1
     return (((1 << m) - 1) * (s % ((1 << m) + 1)) + 1) % order
@@ -58,45 +49,29 @@ def build_quadratic(tower: FieldTower, a: int) -> TracePolynomial:
     return TracePolynomial(m, (((m, a, (1 << m) + 1)),))
 
 
-def binomial_exponents(m: int, variant: str) -> list[int]:
-    """Candidate second exponents d_2 for the binomial family.
+def binomial_exponent(m: int, variant: str) -> int:
+    """The second exponent d_2 of the binomial family, in normalized Niho form.
 
-    Variant "d2_3": the single value (2^m - 1) 3 + 1.  Variant "d2_16"
-    (m even): all three solutions of 6 d = 2^m + 5 (mod 2^n - 1), the
-    normalized one (6 s = 1 mod 2^m + 1) first.
+    Variant "d2_3": (2^m - 1) 3 + 1.  Variant "d2_16" (m even): the solution
+    of 6 d = 2^m + 5 (mod 2^n - 1) with 6 s = 1 (mod 2^m + 1), the only one
+    of the three that is a Niho exponent.
     """
-    order = (1 << 2 * m) - 1
     if variant == "d2_3":
-        return [_niho_d(m, 3)]
+        return _niho_d(m, 3)
     if variant == "d2_16":
         if m % 2 != 0:
             raise ValueError(f"variant d2_16 requires even m, got {m}")
-        # gcd(6, 2^n - 1) = 3, so three solutions spaced order/3 apart
-        canonical = _niho_d(m, pow(6, -1, (1 << m) + 1))
-        step = order // 3
-        others = sorted(((canonical + k * step) % order for k in (1, 2)))
-        return [canonical, *others]
+        return _niho_d(m, pow(6, -1, (1 << m) + 1))
     raise ValueError(f"unknown binomial variant {variant!r}")
 
 
-def build_binomial(
-    tower: FieldTower, b: int, variant: str = "d2_3", d2: int | None = None
-) -> TracePolynomial:
-    """Tr_m(a t^(2^m+1)) + Tr_n(b t^d2) with a = b^(2^m + 1).
-
-    d2 defaults to the normalized candidate; pass one of
-    binomial_exponents(m, variant) to select another.
-    """
+def build_binomial(tower: FieldTower, b: int, variant: str = "d2_3") -> TracePolynomial:
+    """Tr_m(a t^(2^m+1)) + Tr_n(b t^d) with a = b^(2^m + 1), d = binomial_exponent(m, variant)."""
     if b == 0:
         raise ValueError("b must be nonzero")
     m = tower.m
-    candidates = binomial_exponents(m, variant)
-    if d2 is None:
-        d2 = candidates[0]
-    elif d2 not in candidates:
-        raise ValueError(f"d2 = {d2} is not a candidate exponent {candidates}")
     a = tower.pow(b, (1 << m) + 1)
-    return TracePolynomial(m, ((m, a, (1 << m) + 1), (tower.n, b, d2)))
+    return TracePolynomial(m, ((m, a, (1 << m) + 1), (tower.n, b, binomial_exponent(m, variant))))
 
 
 def lk_exponents(m: int, r: int) -> list[int]:
@@ -112,26 +87,25 @@ def is_canonical_lk_params(m: int, r: int) -> bool:
     return 1 < r < m and math.gcd(r, m) == 1
 
 
-def build_lk(tower: FieldTower, a: int, r: int, unchecked: bool = False) -> TracePolynomial:
+def build_lk(tower: FieldTower, a: int, r: int) -> TracePolynomial:
     """Tr_n(a^2 t^(2^m+1) + (a + a^(2^m)) sum of t^d_i), degree r + 1.
 
     Canonical parameters are 1 < r < m with gcd(r, m) = 1.  Values
     m < r < 2m are accepted non-canonically (the function then reduces to a
-    smaller r up to affine terms); anything else needs unchecked=True.
+    smaller r up to affine terms); anything else is rejected.
     """
     m, n = tower.m, tower.n
     b = tower.add(a, tower.frobenius(a, m))
     if b == 0:
         raise ValueError(f"a = {a:#x} lies in the subfield (a + a^(2^m) = 0)")
-    if not unchecked:
-        canonical = is_canonical_lk_params(m, r)
-        reduction = r == m + 1 or (m + 1 < r < 2 * m and math.gcd(r - m, m) == 1)
-        if not (canonical or reduction):
-            raise ValueError(
-                f"requires 1 < r < m with gcd(r, m) = 1 "
-                f"(or m < r < 2m for the reduction forms); got r={r}, m={m}, "
-                f"gcd(r, m) = {math.gcd(r, m)}"
-            )
+    canonical = is_canonical_lk_params(m, r)
+    reduction = r == m + 1 or (m + 1 < r < 2 * m and math.gcd(r - m, m) == 1)
+    if not (canonical or reduction):
+        raise ValueError(
+            f"requires 1 < r < m with gcd(r, m) = 1 "
+            f"(or m < r < 2m for the reduction forms); got r={r}, m={m}, "
+            f"gcd(r, m) = {math.gcd(r, m)}"
+        )
     a2 = tower.mul(a, a)
     terms = [(n, a2, (1 << m) + 1)]
     terms += [(n, b, d) for d in lk_exponents(m, r)]
@@ -276,50 +250,6 @@ def build_trinomial_sum(tower: FieldTower, k: int, a: int) -> TracePolynomial:
     return p1 + p2 + p3
 
 
-# ---- canonical coefficient profile ------------------------------------------
-
-
-def niho_profile(tower: FieldTower, poly: TracePolynomial, r: int) -> dict[int, int]:
-    """Coefficients of the 2^(r-1)-term normalized form, merged by index.
-
-    Index i < 2^(r-1) carries the Tr_n coefficient of
-    t^((2^m-1)(2^(m-r) i + 1) + 1) (terms on the conjugate exponent are
-    folded back through Frobenius); index 2^(r-1) carries the canonical
-    Tr_m coefficient of the self-conjugate exponent.  Linear terms are
-    dropped; anything else fails.
-    """
-    m, n = tower.m, tower.n
-    order = tower.order
-    base = (1 << m) - 1
-    half = (1 << m) + 1
-    inv_step = pow(2, r - m, half)
-    sc_slot = 1 << (r - 1)
-    out: dict[int, int] = {i: 0 for i in range(1, sc_slot + 1)}
-    for k, c, e in poly.terms:
-        if e % half == 0 and (e // half).bit_count() == 1:
-            # self-conjugate coset: e = 2^j (2^m + 1)
-            j = (e // half).bit_length() - 1
-            u = c if k == m else tower.add(c, tower.frobenius(c, m))
-            out[sc_slot] ^= tower.pow(u, 1 << ((m - 1 - j) % m))
-            continue
-        if k != n:
-            raise ValueError(f"unexpected Tr_{k} term at exponent {e}")
-        if e % base != 1:
-            raise ValueError(f"exponent {e} is not in normalized Niho form")
-        s = (e - 1) // base
-        if s in (0, 1):
-            continue  # linear term
-        i = (s - 1) * inv_step % half
-        if not 1 <= i < sc_slot:
-            # fold the conjugate exponent back: s -> 1 - s
-            c = tower.frobenius(c, m)
-            i = (1 - s - 1) * inv_step % half
-        if not 1 <= i < sc_slot:
-            raise ValueError(f"exponent {e} does not fit the 2^({r}-1)-term form")
-        out[i] ^= c
-    return out
-
-
 # ---- family registry ----------------------------------------------------------
 
 
@@ -341,8 +271,8 @@ FAMILIES: dict[str, Family] = {
     f.name: f
     for f in (
         Family("quadratic", ("a",), lambda t, p: build_quadratic(t, p.a)),
-        Family("binomial_3", ("b",), lambda t, p: build_binomial(t, p.b, "d2_3", p.d2)),
-        Family("binomial_16", ("b",), lambda t, p: build_binomial(t, p.b, "d2_16", p.d2)),
+        Family("binomial_3", ("b",), lambda t, p: build_binomial(t, p.b, "d2_3")),
+        Family("binomial_16", ("b",), lambda t, p: build_binomial(t, p.b, "d2_16")),
         Family("lk", ("a", "r"), lambda t, p: build_lk(t, p.a, p.r)),
         Family("lk_coeff", ("r", "coeffs"), lambda t, p: build_lk_coeff(t, p.r, list(p.coeffs))),
         Family("qu_family", ("r", "c", "I", "J", "a"),
@@ -372,7 +302,6 @@ class FamilyParams:
     a: int | None = None
     b: int | None = None
     coeffs: tuple[int, ...] | None = None
-    d2: int | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -382,7 +311,7 @@ class FamilyParams:
     def to_json(self, tower: FieldTower) -> str:
         enc = tower.element_hex
         data: dict = {"family": self.family, "m": self.m}
-        for name in ("r", "c", "I", "J", "k", "d2"):
+        for name in ("r", "c", "I", "J", "k"):
             v = getattr(self, name)
             if v is not None:
                 data[name] = v
@@ -406,7 +335,6 @@ class FamilyParams:
             I=data.get("I"),
             J=data.get("J"),
             k=data.get("k"),
-            d2=data.get("d2"),
             a=dec(data["a_hex"]) if "a_hex" in data else None,
             b=dec(data["b_hex"]) if "b_hex" in data else None,
             coeffs=tuple(dec(x) for x in data["coeffs_hex"]) if "coeffs_hex" in data else None,

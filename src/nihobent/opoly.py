@@ -360,24 +360,24 @@ def equivalence_table(m: int) -> list[TableRow]:
         )
     if m % 2 == 1 and m >= 3:
         k = (m + 1) // 2
-        cands = []
-        if k % 2 == 1:
-            e = (1 << k) + _bitsum((k + 1) // 2, k - 1, lambda i: 2 * i)
-            cands.append(TableCell((e,), k, "k odd"))
-        if k > 2 and k % 2 == 0:
-            e = 2 + _bitsum(1, (k - 2) // 2, lambda i: 2 * i)
-            cands.append(TableCell((e,), m, "k > 2 even"))
-        rows.append(
-            TableRow(
-                "cubic", m,
-                TableCell((3 * (1 << k) + 4,), m - 1),
-                TableCell((3 * (1 << (k - 1)) - 2,), m),
-                tuple(cands),
-                ambiguous_g3=True,
+        if k > 2:  # at k = 2 (m = 3), z^(3*2^k+4) = z^16 = z^2 is a Frobenius map
+            cands = []
+            if k % 2 == 1:
+                e = (1 << k) + _bitsum((k + 1) // 2, k - 1, lambda i: 2 * i)
+                cands.append(TableCell((e,), k, "k odd"))
+            else:
+                e = 2 + _bitsum(1, (k - 2) // 2, lambda i: 2 * i)
+                cands.append(TableCell((e,), m, "k > 2 even"))
+            rows.append(
+                TableRow(
+                    "cubic", m,
+                    TableCell((3 * (1 << k) + 4,), m - 1),
+                    TableCell((3 * (1 << (k - 1)) - 2,), m),
+                    tuple(cands),
+                    ambiguous_g3=True,
+                )
             )
-        )
-        # trinomial rows: explicit G2 for the cubic trinomial
-        if k > 2:
+            # trinomial rows: explicit G2 for the cubic trinomial
             rows.append(
                 TableRow(
                     "trinomial_cubic", m,

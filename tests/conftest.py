@@ -37,6 +37,72 @@ def tt_of(tower, terms):
     return evaluate(tower, TracePolynomial(tower.m, tuple(terms)))
 
 
+def term_values(tower, c, e):
+    """c * t^e for every t in GF(2^n), indexed by t."""
+    return tower.mul_scalar_vec(c, tower.pow_vec(np.arange(tower.size), e))
+
+
+def evaluate_terms(tower, terms):
+    """Table of a sum of (k, c, e) trace terms, one full pass per term; oracle for evaluate.
+
+    Any exponent works here; a Tr_m term must stay in GF(2^m) at every t.
+    """
+    tables = tower.tables
+    bits = np.zeros(tower.size, dtype=np.uint8)
+    for k, c, e in terms:
+        vals = term_values(tower, c, e)
+        if k == tower.n:
+            bits ^= tables.trace_bits[vals]
+        else:
+            assert k == tower.m and tables.subfield_mask[vals].all(), (k, c, e)
+            bits ^= tables.subfield_trace_bits[vals]
+    return bits
+
+
+def coset_leader(e, n):
+    """Smallest element of the cyclotomic coset of e modulo 2^n - 1."""
+    order = (1 << n) - 1
+    e %= order
+    return min((e << j) % order for j in range(n)) if e else 0
+
+
+def niho_profile(tower, poly, r):
+    """Coefficients of the 2^(r-1)-term normalized form, merged by index.
+
+    Index i < 2^(r-1) carries the Tr_n coefficient of
+    t^((2^m-1)(2^(m-r) i + 1) + 1) (terms on the conjugate exponent are
+    folded back through Frobenius); index 2^(r-1) carries the canonical
+    Tr_m coefficient of the self-conjugate exponent.  Linear terms are
+    dropped; anything else fails.
+    """
+    m, n = tower.m, tower.n
+    base = (1 << m) - 1
+    half = (1 << m) + 1
+    inv_step = pow(2, r - m, half)
+    sc_slot = 1 << (r - 1)
+    out = {i: 0 for i in range(1, sc_slot + 1)}
+    for k, c, e in poly.terms:
+        if e % half == 0 and (e // half).bit_count() == 1:
+            # self-conjugate coset: e = 2^j (2^m + 1)
+            j = (e // half).bit_length() - 1
+            u = c if k == m else tower.add(c, tower.frobenius(c, m))
+            out[sc_slot] ^= tower.pow(u, 1 << ((m - 1 - j) % m))
+            continue
+        assert k == n, f"unexpected Tr_{k} term at exponent {e}"
+        assert e % base == 1, f"exponent {e} is not in normalized Niho form"
+        s = (e - 1) // base
+        if s in (0, 1):
+            continue  # linear term
+        i = (s - 1) * inv_step % half
+        if not 1 <= i < sc_slot:
+            # fold the conjugate exponent back: s -> 1 - s
+            c = tower.frobenius(c, m)
+            i = (1 - s - 1) * inv_step % half
+        assert 1 <= i < sc_slot, f"exponent {e} does not fit the 2^({r}-1)-term form"
+        out[i] ^= c
+    return out
+
+
 def scale_input(tower, tt, c):
     """Table of t -> f(c t)."""
     perm = np.fromiter(

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import (
+    evaluate_terms,
     is_affine_difference,
     spectrum_csv_oracle,
     spectrum_json_oracle,
+    term_values,
     tt_of,
     walsh_naive,
 )
@@ -38,7 +40,6 @@ from nihobent import (
 from nihobent.boolfun import (
     _FORMAT_BLOCK,
     _check_table,
-    _evaluate_terms,
     _gram_permutation,
     spectrum_to_json,
 )
@@ -210,23 +211,23 @@ def test_is_affine_difference(tower3):
 
 
 def test_subfield_trace_violation_names_t(tower3):
-    # Tr_m over a non-self-conjugate exponent leaves the subfield
+    # Tr_m over a non-self-conjugate Niho exponent (15 = 1 mod 7) leaves the subfield
     with pytest.raises(RepresentationError) as err:
-        evaluate(tower3, TracePolynomial(3, ((3, 1, 3),)))
+        evaluate(tower3, TracePolynomial(3, ((3, 1, 15),)))
     assert "t=" in str(err.value)
 
 
 def test_raw_term_requires_gf2_values(tower3):
-    with pytest.raises(RepresentationError):
-        evaluate(tower3, TracePolynomial(3, ((1, 1, 3),)))
-    # a genuinely GF(2)-valued raw term works: c * t^0 = c
-    tt = evaluate(tower3, TracePolynomial(3, ((1, 1, 0),)))
-    assert tt.all()
+    # raw Tr_1 terms are refused when built, GF(2)-valued (c t^0) or not
+    for e in (3, 0):
+        with pytest.raises(ValueError, match="trace degree 1 not in"):
+            TracePolynomial(3, ((1, 1, e),))
 
 
 def test_trace_degree_validation(tower3):
-    with pytest.raises(ValueError):
-        TracePolynomial(3, ((4, 1, 1),))
+    for k in (1, 4):  # neither m nor n
+        with pytest.raises(ValueError, match="trace degree"):
+            TracePolynomial(3, ((k, 1, 1),))
 
 
 def test_exponent_storage_reduced(tower3):
@@ -235,7 +236,9 @@ def test_exponent_storage_reduced(tower3):
     # a nonzero multiple of the order stays nonzero: t^63 is 0 at t = 0
     q = TracePolynomial(3, ((6, 1, 63),))
     assert q.terms[0][2] == 63
-    assert evaluate(tower3, q)[0] == 0
+    assert term_values(tower3, 1, q.terms[0][2])[0] == 0
+    with pytest.raises(RepresentationError, match="is not Niho"):  # 63 = 0 mod 7
+        evaluate(tower3, q)
     assert TracePolynomial(3, ((6, 1, 0),)).terms[0][2] == 0
 
 
@@ -320,8 +323,8 @@ def _is_niho(e, m):
 
 
 def _random_terms(tower, rng):
-    """Seeded mix of every kind of term `evaluate` has to handle."""
-    m, n, q, order = tower.m, tower.n, 1 << tower.m, tower.order
+    """Seeded mix of every kind of Niho term `evaluate` takes."""
+    m, n, q = tower.m, tower.n, 1 << tower.m
     sub = tower.tables.subfield_elements
     nonzero = lambda: rng.randrange(1, tower.size)  # noqa: E731
     terms = []
@@ -330,16 +333,7 @@ def _random_terms(tower, rng):
         terms.append((n, nonzero(), e))
     for _ in range(3):  # self-conjugate Tr_m terms: c in GF(2^m)*, e = (q+1) 2^s
         terms.append((m, int(sub[rng.randrange(1, len(sub))]), (q + 1) << rng.randrange(m)))
-    non_niho = [e for e in range(1, min(order, 400)) if not _is_niho(e, m)]
-    for _ in range(2):  # non-Niho exponents, Tr_n and self-conjugate Tr_m
-        terms.append((n, nonzero(), rng.choice(non_niho)))
-    terms.append((m, int(sub[rng.randrange(1, len(sub))]), 3 * (q + 1)))
-    terms += [
-        (n, 0, 1), (m, 0, 3), (1, 0, 5),  # zero coefficients, whatever the term
-        (n, nonzero(), 0), (n, nonzero(), order),  # e = 0 and e = 2^n - 1
-        (m, 1, 0), (m, 1, order),
-        (1, 1, 0), (1, 1, order),  # raw GF(2)-valued terms
-    ]
+    terms += [(n, 0, 1), (m, 0, 3), (n, 0, 0)]  # zero coefficients, whatever the exponent
     return terms
 
 
@@ -350,10 +344,10 @@ def test_polar_evaluate_matches_per_term(m):
     terms = _random_terms(tower, rng)
     for term in terms:
         poly = TracePolynomial(m, (term,))
-        assert np.array_equal(evaluate(tower, poly), _evaluate_terms(tower, poly.terms)), term
+        assert np.array_equal(evaluate(tower, poly), evaluate_terms(tower, poly.terms)), term
     rng.shuffle(terms)
     poly = TracePolynomial(m, tuple(terms))
-    assert np.array_equal(evaluate(tower, poly), _evaluate_terms(tower, poly.terms))
+    assert np.array_equal(evaluate(tower, poly), evaluate_terms(tower, poly.terms))
 
 
 def _family_members(tower):
@@ -381,24 +375,36 @@ def _family_members(tower):
 def test_polar_evaluate_matches_per_term_on_families(m):
     tower = make_tower(m)
     for poly in _family_members(tower):
-        assert np.array_equal(evaluate(tower, poly), _evaluate_terms(tower, poly.terms))
+        assert np.array_equal(evaluate(tower, poly), evaluate_terms(tower, poly.terms))
 
 
-@pytest.mark.parametrize("m", [3, 5, 6])
-def test_polar_evaluate_keeps_representation_error(m):
-    # a Tr_m term off the subfield fails as the per-term path does, same text
+@pytest.mark.parametrize("m", range(2, 8))
+def test_evaluate_rejects_every_non_niho_term(m):
+    # each kind of term the polar fold cannot take raises, naming the term
     tower = make_tower(m)
-    q, n = 1 << m, 2 * m
-    off = next(c for c in range(2, tower.size) if not tower.in_subfield(c))
-    cases = [
-        ((m, off, q + 1),),  # Niho exponent, coefficient outside GF(2^m)
-        ((n, 1, q - 1 + 2), (m, 1, 2 * q - 1), (1, 1, 3)),  # Niho e, non-self-conjugate
-        ((1, 1, 3), (m, off, q + 1)),  # the raw term fails first
-    ]
-    for terms in cases:
-        poly = TracePolynomial(m, terms)
-        with pytest.raises(RepresentationError) as fast:
+    rng = random.Random(5000 + m)
+    q, n, order = 1 << m, 2 * m, tower.order
+    c = rng.randrange(1, tower.size)
+    niho = (n, 1, q)  # a Niho term first: the fold must stop at the second one
+    non_niho = [e for e in range(2, min(order, 400)) if not _is_niho(e, m)]
+    for k, e in [(n, 0), (m, 0), (n, order), (m, order), (n, rng.choice(non_niho)),
+                 (m, 3 * (q + 1))]:
+        poly = TracePolynomial(m, (niho, (k, c, e)))
+        with pytest.raises(RepresentationError, match="is not Niho") as err:
             evaluate(tower, poly)
-        with pytest.raises(RepresentationError) as slow:
-            _evaluate_terms(tower, poly.terms)
-        assert str(fast.value) == str(slow.value)
+        assert f"Tr_{k} term (c={c:#x}, e={poly.terms[1][2]})" in str(err.value)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 6])
+def test_polar_evaluate_keeps_representation_error(m):
+    # a Niho Tr_m term with c t^e outside GF(2^m): the message names a t, and
+    # the oracle confirms the term's value there lies outside the subfield
+    tower = make_tower(m)
+    q = 1 << m
+    off = next(c for c in range(2, tower.size) if not tower.in_subfield(c))
+    for c, e in [(off, q + 1), (1, q), (1, 2 * q - 1)]:
+        with pytest.raises(RepresentationError, match="leaves the subfield") as err:
+            evaluate(tower, TracePolynomial(m, ((m, c, e),)))
+        assert f"Tr_{m} term (c={c:#x}, e={e})" in str(err.value)
+        t = int(str(err.value).rsplit("t=", 1)[1], 16)
+        assert not tower.in_subfield(int(term_values(tower, c, e)[t]))

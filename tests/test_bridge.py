@@ -189,14 +189,6 @@ def test_pipeline_rejects_odd_exponent(tower5):
         opoly_to_univariate(tower5, OPolyMap.monomial(tower5, 1), a)
 
 
-def test_pipeline_identity_with_allow_odd_is_not_bent(tower5):
-    a = flagged(tower5)
-    tt = evaluate(
-        tower5, opoly_to_univariate(tower5, OPolyMap.monomial(tower5, 1), a, allow_odd=True)
-    )
-    assert not is_bent(tt, tower5).bent
-
-
 def test_pipeline_drops_linear_and_constant_terms(tower5):
     a = flagged(tower5)
     F1 = OPolyMap.monomial(tower5, 6)
@@ -216,21 +208,35 @@ def test_pipeline_merges_coefficients(tower5):
 
 @pytest.mark.parametrize("m", [4, 5])
 def test_leading_term_flag(m):
-    # the merged form keeps a term in the coset of 2^m + 1 exactly when its
-    # aggregate coefficient survives; flagged (reported), never forced
-    from nihobent import catalog, coset_leader
+    # the merge keeps the self-conjugate term exactly when the XOR of the
+    # monomials' self-conjugate coefficients survives, and the route's table
+    # is the sum of the monomial tables up to the dropped linear terms
+    from nihobent import catalog
 
     tower = make_tower(m)
     a = flagged(tower)
-    lead = coset_leader((1 << m) + 1, 2 * m)
-    cancelled = []
-    for entry in catalog(m):
-        poly = opoly_to_univariate(tower, entry.to_map(tower), a)
-        leaders = {coset_leader(e, 2 * m) for _, _, e in poly.terms}
-        if lead not in leaders:
-            cancelled.append(entry.name)
-    # merged nonzero terms are kept verbatim, so absence means cancellation
-    assert isinstance(cancelled, list)
+    sc_exp = (1 << (m - 1)) * ((1 << m) + 1)
+
+    def self_conjugate(d, lam):
+        res = expand_monomial(tower, d, lam, a)
+        return next(c for _, c, e in res.to_trace_polynomial(tower).terms if e == sc_exp)
+
+    # every catalog map keeps the term; z^2 + lam z^4 with lam chosen to cancel it does not
+    lam = tower.mul(self_conjugate(2, 1), tower.inv(self_conjugate(4, 1)))
+    maps = [entry.to_map(tower) for entry in catalog(m)]
+    maps.append(OPolyMap.from_terms(tower, [(1, 2), (lam, 4)]))
+    kept = []
+    for F in maps:
+        route = opoly_to_univariate(tower, F, a)
+        sc = 0
+        biv = np.zeros(tower.size, dtype=np.uint8)
+        for c, e in F.terms:
+            sc ^= self_conjugate(e, c)
+            biv ^= bivariate_monomial_table(tower, e, c, a)
+        assert [c for _, c, e in route.terms if e == sc_exp] == ([sc] if sc else [])
+        assert is_affine_difference(evaluate(tower, route), biv), F.terms
+        kept.append(sc != 0)
+    assert kept == [True] * (len(maps) - 1) + [False]
 
 
 # ---- bivariate evaluation -------------------------------------------------------

@@ -164,6 +164,15 @@ def test_tables_m5(capsys):
     assert g1["measured_degree"] == 5
 
 
+@pytest.mark.parametrize("m", range(2, 8))
+def test_tables_pass_at_every_small_m(capsys, m):
+    # at m = 3 (k = 2) the cubic row would be z^16 = z^2, a Frobenius map; it is not emitted
+    code, out, _ = run(capsys, "tables", "--m", str(m))
+    assert code == 0
+    families = [r["family"] for r in json.loads(out)["rows"]]
+    assert ("cubic" in families) == (m % 2 == 1 and m >= 5)
+
+
 def test_walsh_roundtrip(tmp_path, capsys):
     run(
         capsys, "construct", "--family", "quadratic", "--m", "3",
@@ -241,6 +250,7 @@ MISSING_FIELD = {
         (("construct", "--family", "lk", "--m", "5", "--r", "2"), "a"),
         (("opoly", "--m", "5", "--terms", '[{"e":6}]'), None),
         (("opoly", "--m", "5", "--terms", '[{"c":"0100"}]'), None),
+        (("opoly", "--m", "3", "--terms", '[{"c":"01","e":true}]'), None),
         *(
             (("construct", "--family", family, "--m", "7", *rest), field)
             for family, (rest, field) in MISSING_FIELD.items()
@@ -248,7 +258,7 @@ MISSING_FIELD = {
     ],
     ids=[
         "expand_no_d_or_F", "expand_negative_sweeps", "construct_lk_no_a",
-        "opoly_term_no_c", "opoly_term_no_e",
+        "opoly_term_no_c", "opoly_term_no_e", "opoly_term_bool_e",
         *(f"construct_{family}_no_{field}" for family, (_, field) in MISSING_FIELD.items()),
     ],
 )
@@ -287,6 +297,16 @@ def test_walsh_unreadable_table_is_bad_input(tmp_path, capsys):
         assert out == ""
         assert err.startswith("error: ")
         assert err.count("\n") == 1
+
+
+def test_construct_has_no_d2_flag(tmp_path, capsys):
+    # binomial_16 takes only its Niho exponent, so there is no --d2 (131 = 11 mod 15 is not Niho)
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--family", "binomial_16", "--m", "4", "--b", "01", "--d2", "131",
+              "--out", str(tmp_path / "new")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --d2 131" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
 
 
 def test_expand_rejects_both_d_and_F(capsys):

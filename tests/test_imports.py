@@ -1,14 +1,20 @@
-"""Unused-import guard for the package and its tests.
+"""Unused-import and unused-export guards for the package and its tests.
 
 Each module is parsed with ast; a name bound by an import statement must be
 read somewhere in that module.  `__init__.py` files, whose imports are the
-package's re-exports, and `from __future__` imports are exempt.
+package's re-exports, and `from __future__` imports are exempt.  Every
+re-export in `nihobent.__all__` other than a submodule must be named by a
+test, by the benchmark or by the README, so that a dead export is noticed.
 """
 
 import ast
+import re
+import types
 from pathlib import Path
 
 import pytest
+
+import nihobent
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
@@ -36,3 +42,10 @@ def test_guard_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_every_export_has_a_user():
+    readers = [*ROOT.glob("tests/*.py"), *ROOT.glob("perfbench/*.py"), ROOT / "README.md"]
+    text = "\n".join(p.read_text() for p in readers)
+    names = [n for n in nihobent.__all__ if not isinstance(getattr(nihobent, n), types.ModuleType)]
+    assert [n for n in names if not re.search(rf"\b{n}\b", text)] == []

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import (
+    coset_leader,
     extract_class_h,
     is_affine_difference,
+    niho_profile,
     primitive_unit,
     scale_input,
     tt_of,
@@ -15,7 +17,7 @@ from conftest import (
 from nihobent import (
     FamilyParams,
     algebraic_degree,
-    binomial_exponents,
+    binomial_exponent,
     build,
     build_binomial,
     build_cubic_family,
@@ -25,12 +27,10 @@ from nihobent import (
     build_qu_family,
     build_quadratic,
     build_trinomial_sum,
-    coset_leader,
     evaluate,
     is_bent,
     lk_exponents,
     make_tower,
-    niho_profile,
 )
 from nihobent.niho import FAMILIES
 
@@ -91,18 +91,16 @@ def test_binomial_a_is_norm_of_b(tower4):
     assert is_bent(evaluate(tower4, poly), tower4).bent
 
 
-def test_binomial_d2_16_candidates(tower4):
-    cands = binomial_exponents(4, "d2_16")
-    assert len(cands) == 3
-    order = 255
-    for d2 in cands:
-        assert 6 * d2 % order == ((1 << 4) + 5) % order
-    bent_flags = [
-        is_bent(evaluate(tower4, build_binomial(tower4, 1, "d2_16", d2)), tower4).bent
-        for d2 in cands
-    ]
-    assert any(bent_flags)
-    assert bent_flags[0]  # the normalized candidate is the bent one
+@pytest.mark.parametrize("m", [4, 6, 8])
+def test_binomial_d2_16_exponent(m):
+    # the one Niho solution of 6 d = 2^m + 5 (mod 2^n - 1), and its binomial is bent
+    tower = make_tower(m)
+    order = tower.order
+    d2 = binomial_exponent(m, "d2_16")
+    assert 6 * d2 % order == ((1 << m) + 5) % order
+    assert d2 % ((1 << m) - 1) == 1
+    for b in (1, 3):
+        assert is_bent(evaluate(tower, build_binomial(tower, b, "d2_16")), tower).bent
 
 
 def test_binomial_rejections(tower4, tower5):
@@ -111,7 +109,7 @@ def test_binomial_rejections(tower4, tower5):
     with pytest.raises(ValueError):
         build_binomial(tower5, 1, "d2_16")  # m odd
     with pytest.raises(ValueError):
-        build_binomial(tower4, 1, "d2_3", d2=47)
+        build_binomial(tower4, 1, "d2_5")  # no such variant
 
 
 # ---- the equal-coefficient ladder ----------------------------------------------
@@ -151,10 +149,6 @@ def test_lk_rejections(tower5):
         build_lk(tower6, unit_trace_element(tower6), 2)  # gcd(2, 6) != 1
     with pytest.raises(ValueError):
         build_lk(tower5, 1, 2)  # a in the subfield
-    # unchecked flag lifts the parameter check but not the subfield check
-    tower6a = unit_trace_element(tower6)
-    poly = build_lk(tower6, tower6a, 2, unchecked=True)
-    assert len(poly.terms) == 2
 
 
 def test_lk_exponents_distinct_cosets():
@@ -387,7 +381,14 @@ def test_trinomial_sum_rejects_small_m(tower5):
 def all_family_polys(m):
     tower = make_tower(m)
     a = unit_trace_element(tower)
-    polys = [build_quadratic(tower, 1), build_binomial(tower, 1, "d2_3")]
+    polys = [
+        build_quadratic(tower, 1),
+        build_binomial(tower, 1, "d2_3"),
+        build_lk_coeff(tower, 2, [1, 3]),
+        build_g_lk2(tower, 1, a),
+    ]
+    if m % 2 == 0:
+        polys.append(build_binomial(tower, 1, "d2_16"))
     for r in range(2, m):
         if math.gcd(r, m) == 1:
             polys.append(build_lk(tower, a, r))
