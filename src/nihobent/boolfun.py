@@ -142,8 +142,8 @@ def _check_table(tt: np.ndarray) -> int:
     return n
 
 
-def _fwht(signs: np.ndarray) -> np.ndarray:
-    a = signs.astype(np.int64)
+def _fwht(a: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard butterfly, in place on the fresh int64 array `a`, which it returns."""
     h = 1
     while h < len(a):
         v = a.reshape(-1, 2 * h)
@@ -161,7 +161,7 @@ def _gram_permutation(tower: FieldTower) -> np.ndarray:
     n = tower.n
     hankel = [int(tower.tables.trace_bits[tower.pow(2, k)]) for k in range(2 * n - 1)]
     cols = [sum(hankel[i + j] << i for i in range(n)) for j in range(n)]
-    gw = np.zeros(tower.size, dtype=np.int64)
+    gw = np.zeros(tower.size, dtype=np.int32)
     for j in range(n):
         v = gw.reshape(-1, 2 << j)
         v[:, 1 << j :] ^= cols[j]
@@ -174,7 +174,7 @@ def walsh(tt: np.ndarray, tower: FieldTower | None = None) -> np.ndarray:
     Without a tower the plain vector-space inner product <w, x> is used.
     """
     _check_table(tt)
-    out = _fwht(1 - 2 * tt.astype(np.int64))
+    out = _fwht(1 - 2 * tt.astype(np.int64))  # the sign vector, transformed in place
     if tower is not None:
         if len(tt) != tower.size:
             raise ValueError("table length does not match the tower")
@@ -279,7 +279,7 @@ _HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
 
 
 def _format_rows(spec: np.ndarray, label_bytes: int, sep: bytes, end: bytes):
-    """Text blocks of rows `w_hex sep value end`, each block a NUL-padded uint8 matrix."""
+    """ASCII blocks of rows `w_hex sep value end`, each block a NUL-padded uint8 matrix."""
     lead = 2 * label_bytes + len(sep)
     for i in range(0, len(spec), _FORMAT_BLOCK):
         block = spec[i : i + _FORMAT_BLOCK]
@@ -295,14 +295,28 @@ def _format_rows(spec: np.ndarray, label_bytes: int, sep: bytes, end: bytes):
         chars = strings.view(np.uint8).reshape(-1, width)
         rows[:, lead : lead + width] = np.take(chars, np.searchsorted(values, block), axis=0)
         rows[:, lead + width :] = np.frombuffer(end, dtype=np.uint8)
-        yield rows[rows != 0].tobytes().decode("ascii")
+        yield rows[rows != 0].tobytes()
+
+
+def _csv_blocks(spec: np.ndarray, tower: FieldTower):
+    """The CSV text of spectrum_to_csv as ASCII blocks of 2^16 rows."""
+    return _format_rows(spec, (tower.n + 7) // 8, b",", b"\n")
+
+
+def _json_blocks(spec: np.ndarray):
+    """The JSON text of spectrum_to_json as ASCII blocks of 2^16 values."""
+    yield b"["
+    yield from _format_rows(spec[:-1], 0, b"", b", ")
+    if len(spec):
+        yield str(int(spec[-1])).encode()
+    yield b"]"
 
 
 def spectrum_to_csv(spec: np.ndarray, tower: FieldTower) -> str:
-    """Rows `w_hex,value` in w order, each ending in a newline, written 2^16 rows at a time."""
-    return "".join(_format_rows(spec, (tower.n + 7) // 8, b",", b"\n"))
+    """Rows `w_hex,value` in w order, each ending in a newline, formatted 2^16 rows at a time."""
+    return b"".join(_csv_blocks(spec, tower)).decode("ascii")
 
 
 def spectrum_to_json(spec: np.ndarray) -> str:
-    """The text of json.dumps([int(v) for v in spec]), written blockwise like spectrum_to_csv."""
-    return "".join(["[", *_format_rows(spec[:-1], 0, b"", b", "), *map(str, spec[-1:].tolist()), "]"])
+    """The text of json.dumps([int(v) for v in spec]), formatted blockwise like spectrum_to_csv."""
+    return b"".join(_json_blocks(spec)).decode("ascii")

@@ -251,6 +251,8 @@ def cmd_expand(args) -> int:
 def cmd_tables(args) -> int:
     t0 = time.perf_counter()
     tower = make_tower(args.m)
+    if args.m % 2 == 0:  # an empty table would pass with nothing checked
+        raise ValueError(f"the equivalent-o-monomial table has rows only for odd m, got m={args.m}")
     a = find_unit_relative_trace(tower, require_primitive=True)
     rows_out = []
     ok = True
@@ -316,12 +318,13 @@ def cmd_walsh(args) -> int:
     spec = boolfun.walsh(tt, tower)
     record = _function_record(tower, tt, spec)
     stem = Path(args.table).stem.split(".")[0]
+    path = out / f"{stem}.spectrum.{args.format}"
     if args.format == "csv":
-        path = out / f"{stem}.spectrum.csv"
-        path.write_text(boolfun.spectrum_to_csv(spec, tower))
+        blocks = boolfun._csv_blocks(spec, tower)
     else:
-        path = out / f"{stem}.spectrum.json"
-        path.write_text(boolfun.spectrum_to_json(spec))
+        blocks = boolfun._json_blocks(spec)
+    with path.open("wb") as fh:  # block by block: no whole-file string is built
+        fh.writelines(blocks)
     report = _report("walsh", tower, t0, functions=[record], files={"spectrum": str(path)})
     return _emit(report, True)
 

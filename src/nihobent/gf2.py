@@ -105,15 +105,19 @@ _EXP_SEED = 256  # powers of the generator computed one by one before doubling
 
 
 class FieldTables(NamedTuple):
-    """Read-only lookup tables of one tower, each indexed as documented."""
+    """Read-only lookup tables of one tower, each indexed as documented.
 
-    exp: np.ndarray  # int64, i -> g^i for 0 <= i < 2^n - 1
-    log: np.ndarray  # int64, encoding x -> log_g x, -1 at x = 0
+    Every 2^n-entry index table is int32: n <= 22, so every encoding and
+    every log fits.  Widen a log to int64 before multiplying it.
+    """
+
+    exp: np.ndarray  # int32, i -> g^i for 0 <= i < 2^n - 1
+    log: np.ndarray  # int32, encoding x -> log_g x, -1 at x = 0
     trace_bits: np.ndarray  # uint8, x -> Tr_n(x)
     subfield_trace_bits: np.ndarray  # uint8, x -> Tr_m(x) on the subfield (a linear form elsewhere)
     subfield_mask: np.ndarray  # bool, x -> x in GF(2^m)
     subfield_elements: np.ndarray  # int64, the 2^m subfield encodings in ascending order
-    subfield_index: np.ndarray  # int64, encoding -> position in subfield_elements, -1 outside
+    subfield_index: np.ndarray  # int32, encoding -> position in subfield_elements, -1 outside
 
 
 def _reduce_exponent(e: int, order: int) -> int:
@@ -214,7 +218,7 @@ class FieldTower:
         m, size, order = self.m, self.size, self.order
         q = 1 << m
         # exp by doubling: exp[L:2L] = g^L exp[:L], a GF(2)-linear map of exp[:L]
-        exp = np.empty(order, dtype=np.int64)
+        exp = np.empty(order, dtype=np.int32)
         filled = min(order, _EXP_SEED)
         v = 1
         for i in range(filled):
@@ -225,15 +229,15 @@ class FieldTower:
             c = self.mul(int(exp[filled - 1]), self.generator)
             exp[filled : filled + step] = self._mul_const_all(c, exp[:step])
             filled += step
-        log = np.full(size, -1, dtype=np.int64)
-        log[exp] = np.arange(order, dtype=np.int64)
+        log = np.full(size, -1, dtype=np.int32)
+        log[exp] = np.arange(order, dtype=np.int32)
 
         # the subfield is {0} and the powers of beta = g^(q+1)
-        sub_elems = np.concatenate([[0], np.sort(exp[:: q + 1])])
+        sub_elems = np.concatenate([[0], np.sort(exp[:: q + 1])], dtype=np.int64)
         sub_mask = np.zeros(size, dtype=bool)
         sub_mask[sub_elems] = True
-        sub_index = np.full(size, -1, dtype=np.int64)
-        sub_index[sub_elems] = np.arange(q)
+        sub_index = np.full(size, -1, dtype=np.int32)
+        sub_index[sub_elems] = np.arange(q, dtype=np.int32)
 
         # Tr_n(c y) as a GF(2)-linear form of y: mask bit i = Tr_n(c x^i).  On
         # the subfield Tr_m(y) = Tr_n(theta y) for any theta + theta^q = 1, such
@@ -244,7 +248,7 @@ class FieldTower:
             for c in (1, theta)
         )
 
-        idx = np.arange(size, dtype=np.int64)
+        idx = np.arange(size, dtype=np.int32)
         tables = FieldTables(
             exp=exp,
             log=log,
@@ -260,10 +264,10 @@ class FieldTower:
 
     def _mul_const_all(self, c: int, xs: np.ndarray) -> np.ndarray:
         """c x for every encoding x in xs, XORing one 256-entry table per byte of x."""
-        out = np.zeros(len(xs), dtype=np.int64)
+        out = np.zeros(len(xs), dtype=np.int32)
         col = c  # c x^i, for bit i of x
         for shift in range(0, self.n, 8):
-            byte_table = np.zeros(256, dtype=np.int64)
+            byte_table = np.zeros(256, dtype=np.int32)
             for i in range(min(8, self.n - shift)):
                 byte_table[1 << i : 2 << i] = byte_table[: 1 << i] ^ col
                 col = self.mul(col, 2)
@@ -276,14 +280,16 @@ class FieldTower:
             self._tables = self._build_tables()
         return self._tables
 
-    # vectorised arithmetic on int64 arrays of encodings, in the log domain
+    # vectorised arithmetic on integer arrays of encodings, in the log domain
+    # of the int32 tables
     def pow_vec(self, xs: np.ndarray, e: int) -> np.ndarray:
         """x^e for every x in xs, with the exponent rule of pow."""
         e = _reduce_exponent(e, self.order)
         if e == 0:
             return np.ones_like(xs)
         lg = self.tables.log[xs]
-        return np.where(lg < 0, 0, self.tables.exp[(lg * e) % self.order])
+        # log x * e reaches 2^44 at n = 22: widen, or int32 wraps
+        return np.where(lg < 0, 0, self.tables.exp[lg.astype(np.int64) * e % self.order])
 
     def mul_vec(self, xs, ys) -> np.ndarray:
         """Elementwise x y; either operand may be a scalar encoding."""

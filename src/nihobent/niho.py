@@ -285,6 +285,9 @@ FAMILIES: dict[str, Family] = {
 FAMILIES |= {"cubic": FAMILIES["cubic_family"], "trinomial": FAMILIES["trinomial_sum"]}
 
 
+_PARAM_KEYS = {"family", "m", "r", "c", "I", "J", "k", "a_hex", "b_hex", "coeffs_hex"}
+
+
 @dataclass(frozen=True)
 class FamilyParams:
     """Serializable constructor arguments; unused fields stay None.
@@ -325,7 +328,13 @@ class FamilyParams:
 
     @classmethod
     def from_json(cls, s: str, tower: FieldTower) -> "FamilyParams":
+        """Inverse of to_json; an unknown key or an m other than the tower's raises."""
         data = json.loads(s)
+        unknown = sorted(set(data) - _PARAM_KEYS)
+        if unknown:
+            raise ValueError(f"unknown family parameter keys {unknown}")
+        if data["m"] != tower.m:
+            raise ValueError(f"parameters are for m={data['m']}, tower has m={tower.m}")
         dec = tower.element_from_hex
         return cls(
             family=data["family"],

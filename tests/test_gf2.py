@@ -218,6 +218,22 @@ def test_pow_vec_matches_scalar(tower4):
         assert fast[0] == (1 if e == 0 else 0)
 
 
+@pytest.mark.parametrize("m", [9, 10, 11])
+def test_vector_ops_match_scalar_at_large_m(m):
+    # the tables are int32, and log x * e passes 2^31 here: pow_vec must widen first
+    tower = FieldTower(m)  # fresh, so the m = 11 tables are not kept after the test
+    rng = np.random.default_rng(m)
+    xs = np.concatenate([[0, 1, tower.generator], rng.integers(1, tower.size, 45)])
+    ys = np.concatenate([[7, 0, 0], rng.integers(0, tower.size, 45)])
+    exps = (tower.order - 1, tower.order - 2, tower.order - 3 * m, tower.order + 5)
+    assert int(tower.tables.log[xs].max()) * (tower.order - 1) >= 2**31
+    for e in exps:
+        assert tower.pow_vec(xs, e).tolist() == [tower.pow(int(x), e) for x in xs], e
+    assert tower.mul_vec(xs, ys).tolist() == [tower.mul(int(x), int(y)) for x, y in zip(xs, ys)]
+    c = int(xs[-1])
+    assert tower.mul_scalar_vec(c, ys).tolist() == [tower.mul(c, int(y)) for y in ys]
+
+
 def scalar_tables(tower):
     """Exp by repeated multiplication by the generator, then each element's
     traces and subfield membership from its conjugates in that list;
@@ -261,7 +277,7 @@ def test_tables_match_scalar_build(m):
         assert getattr(tables, name).tolist() == ref[name], name
     sub = tables.subfield_elements
     assert tables.subfield_trace_bits[sub].tolist() == ref["subfield_trace_bits"]
-    assert [t.dtype for t in tables] == [np.int64, np.int64, np.uint8, np.uint8, bool, np.int64, np.int64]
+    assert [t.dtype for t in tables] == [np.int32, np.int32, np.uint8, np.uint8, bool, np.int64, np.int32]
     assert not any(t.flags.writeable for t in tables)
 
 

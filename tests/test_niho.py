@@ -445,6 +445,15 @@ def test_family_params_rejects_unknown():
         FamilyParams(family="mystery", m=5)
 
 
+def test_family_params_from_json_rejects_stray_key_and_other_m():
+    # an unknown key would be dropped and rebuild a different function
+    stray = '{"family":"binomial_16","m":4,"d2":131,"b_hex":"01","zz":1}'
+    with pytest.raises(ValueError, match=r"unknown family parameter keys \['d2', 'zz'\]"):
+        FamilyParams.from_json(stray, make_tower(4))
+    with pytest.raises(ValueError, match="m=5, tower has m=4"):
+        FamilyParams.from_json('{"family":"quadratic","m":5,"a_hex":"01"}', make_tower(4))
+
+
 def test_build_dispatch_all_families(tower4):
     # every registry name, aliases included, reaches its own constructor
     a4 = unit_trace_element(tower4)
