@@ -2,13 +2,13 @@
 
 A truth table is a numpy uint8 array of 0/1 values of length 2^n indexed by
 the integer encoding of the field element t.  Walsh spectra are int64
-arrays of the same length indexed by w.  The fast transform uses the
-standard Walsh-Hadamard butterfly on the sign vector and then permutes the
-output through the Gram matrix of the trace bilinear form, so spectrum[w]
-matches the field-indexed sum over (-1)^(f(x) + Tr_n(wx)) exactly (the
-tests check it against the quadratic-time defining sum).  Bentness and
-nonlinearity can be read off a spectrum already computed, so a report
-needs one transform per function.
+arrays of the same length, always indexed by the field element w, so every
+spectrum function takes the tower.  The fast transform uses the standard
+Walsh-Hadamard butterfly on the sign vector and then permutes the output
+through the Gram matrix of the trace bilinear form, so spectrum[w] is the
+sum over (-1)^(f(x) + Tr_n(wx)) exactly (the tests check it against the
+quadratic-time defining sum).  Bentness and nonlinearity can be read off a
+spectrum already computed, so a report needs one transform per function.
 
 All functions are pure; returned arrays are read-only.
 """
@@ -105,6 +105,17 @@ def _niho_shift(e: int, q: int) -> int | None:
     return r.bit_length() - 1
 
 
+def _niho_d(m: int, s: int) -> int:
+    """The normalized Niho exponent (2^m - 1) s + 1, s read modulo 2^m + 1."""
+    order = (1 << 2 * m) - 1
+    return (((1 << m) - 1) * (s % ((1 << m) + 1)) + 1) % order
+
+
+def _sc_exponent(m: int) -> int:
+    """The self-conjugate exponent 2^(m-1) (2^m + 1) of the Tr_m term."""
+    return (1 << (m - 1)) * ((1 << m) + 1)
+
+
 def _polar_table(tower: FieldTower, g: np.ndarray) -> np.ndarray:
     """Table of t = v u -> Tr_m(v g(u)), with g indexed by u_j = gamma^((q-1) j).
 
@@ -168,17 +179,11 @@ def _gram_permutation(tower: FieldTower) -> np.ndarray:
     return gw
 
 
-def walsh(tt: np.ndarray, tower: FieldTower | None = None) -> np.ndarray:
-    """Walsh spectrum; with a tower, index w by field encoding via Tr_n(wx).
-
-    Without a tower the plain vector-space inner product <w, x> is used.
-    """
-    _check_table(tt)
-    out = _fwht(1 - 2 * tt.astype(np.int64))  # the sign vector, transformed in place
-    if tower is not None:
-        if len(tt) != tower.size:
-            raise ValueError("table length does not match the tower")
-        out = out[_gram_permutation(tower)]
+def walsh(tt: np.ndarray, tower: FieldTower) -> np.ndarray:
+    """Walsh spectrum indexed by the field element w: sum over x of (-1)^(f(x) + Tr_n(wx))."""
+    if len(tt) != tower.size:
+        raise ValueError(f"table length {len(tt)} does not match the tower's 2^{tower.n}")
+    out = _fwht(1 - 2 * tt.astype(np.int64))[_gram_permutation(tower)]  # <w, x> -> Tr_n(wx)
     out.setflags(write=False)
     return out
 
@@ -193,7 +198,7 @@ class BentVerdict:
         return self.bent
 
 
-def is_bent(tt: np.ndarray, tower: FieldTower | None = None) -> BentVerdict:
+def is_bent(tt: np.ndarray, tower: FieldTower) -> BentVerdict:
     """True iff every spectrum value is +-2^(n/2); witness on failure."""
     return verdict_from_spectrum(walsh(tt, tower))
 
@@ -210,16 +215,15 @@ def verdict_from_spectrum(spec: np.ndarray) -> BentVerdict:
     return BentVerdict(True)
 
 
-def dual(tt: np.ndarray, tower: FieldTower | None = None) -> np.ndarray:
+def dual(tt: np.ndarray, tower: FieldTower) -> np.ndarray:
     """Dual of a bent function: sign pattern of its spectrum."""
-    n = _check_table(tt)
     spec = walsh(tt, tower)
     verdict = verdict_from_spectrum(spec)
     if not verdict:
         raise ValueError(
             f"dual of a non-bent function (spectrum[{verdict.witness_w}] = {verdict.witness_value})"
         )
-    out = (spec != (1 << (n // 2))).astype(np.uint8)
+    out = (spec != (1 << tower.m)).astype(np.uint8)
     out.setflags(write=False)
     return out
 
@@ -227,7 +231,7 @@ def dual(tt: np.ndarray, tower: FieldTower | None = None) -> np.ndarray:
 def anf(tt: np.ndarray) -> np.ndarray:
     """Moebius transform (its own inverse): truth table <-> ANF coefficients."""
     _check_table(tt)
-    a = tt.astype(np.uint8).copy()
+    a = tt.astype(np.uint8)  # a new array, transformed in place
     h = 1
     while h < len(a):
         v = a.reshape(-1, 2 * h)
@@ -246,7 +250,7 @@ def algebraic_degree(tt: np.ndarray) -> int:
     return int(np.bitwise_count(nz).max())
 
 
-def nonlinearity(tt: np.ndarray, tower: FieldTower | None = None) -> int:
+def nonlinearity(tt: np.ndarray, tower: FieldTower) -> int:
     """Distance to the nearest affine function: 2^(n-1) - max|spectrum|/2."""
     return nonlinearity_from_spectrum(walsh(tt, tower))
 

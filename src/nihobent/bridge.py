@@ -20,31 +20,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfun import TracePolynomial, _polar_table
+from .boolfun import TracePolynomial, _niho_d, _polar_table, _sc_exponent
 from .gf2 import FieldTower, _reduce_exponent
+from .opoly import OPolyMap
 
 
 @dataclass(frozen=True)
 class BivariateSpec:
     """Class-H data: mapping G on the subfield, mu, and the basis element a."""
 
-    G: "OPolyMap"  # noqa: F821 - opoly import kept lazy to avoid a cycle
+    G: OPolyMap
     mu: int
     a: int
 
 
 def bivariate_truth_table(tower: FieldTower, spec: BivariateSpec) -> np.ndarray:
-    """Truth table of the class-H function, indexed by t = a x + y.
+    """Truth table of the class-H function, indexed by t = a x + y."""
+    return _class_h_table(tower, spec.G.table, spec.mu, spec.a)
+
+
+def _class_h_table(tower: FieldTower, G_values: np.ndarray, mu: int, a: int) -> np.ndarray:
+    """Class-H table indexed by t = a x + y, with G_values[i] = G(tables.subfield_elements[i]).
 
     With t = v u as in boolfun.evaluate, x = v (u + u^-1) / (a + a^q) and
-    y / x = z'(u) = (a^q u + a u^-1) / (u + u^-1), so the table is
-    Tr_m(v g(u)) with g(u) = (u + u^-1) G(z'(u)) / (a + a^q) for u != 1 and
-    g(1) = mu on the x = 0 line.
+    y / x = z'(u) = (a^q u + a u^-1) / (u + u^-1), so the table is Tr_m(v g(u))
+    with g(u) = (u + u^-1) G(z'(u)) / (a + a^q) for u != 1 and g(1) = mu.
     """
-    a = spec.a
     if tower.in_subfield(a):
         raise ValueError(f"basis element a = {a:#x} must lie outside the subfield")
-    if not tower.in_subfield(spec.mu):
+    if not tower.in_subfield(mu):
         raise ValueError("mu must be a subfield element")
     tables, order = tower.tables, tower.order
     q = 1 << tower.m
@@ -53,8 +57,8 @@ def bivariate_truth_table(tower: FieldTower, spec: BivariateSpec) -> np.ndarray:
     s = u ^ u_inv  # zero only at u = 1, where z' comes out 0 and is unused
     aq = tower.frobenius(a, tower.m)
     z = tower.mul_vec(tower.mul_vec(aq, u) ^ tower.mul_vec(a, u_inv), tower.pow_vec(s, -1))
-    g = tower.mul_vec(tower.mul_vec(s, spec.G.table[tables.subfield_index[z]]), tower.inv(a ^ aq))
-    g[0] = spec.mu
+    g = tower.mul_vec(tower.mul_vec(s, G_values[tables.subfield_index[z]]), tower.inv(a ^ aq))
+    g[0] = mu
     bits = _polar_table(tower, g)
     bits.setflags(write=False)
     return bits
@@ -75,15 +79,15 @@ class ExpansionResult:
 
     @property
     def linear_exponent(self) -> int:
-        return 1 << self.m
+        return _niho_d(self.m, 1)
 
     @property
     def sc_exponent(self) -> int:
-        return (1 << (self.m - 1)) * ((1 << self.m) + 1)
+        return _sc_exponent(self.m)
 
     def ladder_exponent(self, cprime: int) -> int:
         m, l = self.m, self.l
-        return ((1 << m) - 1) * (1 << l) * ((1 << (m - l - 1)) - cprime) + (1 << m)
+        return _niho_d(m, (1 << l) * ((1 << (m - l - 1)) - cprime) + 1)
 
     def to_trace_polynomial(
         self, tower: FieldTower, include_linear: bool = True
@@ -112,10 +116,8 @@ def expand_monomial(tower: FieldTower, d: int, lam: int, a: int) -> ExpansionRes
         raise ValueError(f"d must be in [1, 2^{m} - 1], got {d}")
     if lam == 0 or not tower.in_subfield(lam):
         raise ValueError("lambda must be a nonzero subfield element")
-    if not tower.is_primitive(a):
+    if not tower.is_primitive(a):  # which also puts a off the subfield: a + a^(2^m) != 0
         raise ValueError(f"a = {a:#x} must be primitive (coefficients may vanish otherwise)")
-    if tower.add(a, tower.frobenius(a, m)) == 0:
-        raise ValueError("a must satisfy a + a^(2^m) != 0")
 
     l = (d & -d).bit_length() - 1
     D = [i for i in range(m) if (d >> i) & 1]
@@ -153,25 +155,23 @@ def expand_monomial(tower: FieldTower, d: int, lam: int, a: int) -> ExpansionRes
     )
 
 
-def bivariate_monomial_table(
-    tower: FieldTower, d: int, lam: int, a: int
-) -> np.ndarray:
-    """Reference table: Tr_m(lambda x^(2^m-d) y^d) under the expansion's
-    substitution x = t + t^(2^m), y = a t + a^(2^m) t^(2^m)."""
-    m = tower.m
-    ts = np.arange(tower.size, dtype=np.int64)
-    frob = tower.pow_vec(ts, 1 << m)
-    xs = ts ^ frob
-    ys = tower.mul_scalar_vec(a, ts) ^ tower.mul_scalar_vec(tower.frobenius(a, m), frob)
-    vals = tower.mul_scalar_vec(
-        lam, tower.mul_vec(tower.pow_vec(xs, (1 << m) - d), tower.pow_vec(ys, d))
-    )
-    bits = tower.tables.subfield_trace_bits[vals].copy()
-    bits.setflags(write=False)
-    return bits
+def bivariate_monomial_table(tower: FieldTower, d: int, lam: int, a: int) -> np.ndarray:
+    """Tr_m(lambda x^(q-d) y^d) at x = T(t), y = T(a t), with q = 2^m and T(t) = t + t^q.
+
+    That is the expansion's substitution, and the table is a class-H table, so
+    it costs one polar pass: for t = a^q x' + y' with x', y' in GF(q),
+    T(t) = T(a) x' and T(a t) = T(a) y', so the value
+    Tr_m(lambda T(a) x'^(q-d) y'^d) is Tr_m(x' G(y'/x')) with G(z) = lambda T(a) z^d,
+    mu = 0 and basis a^q (x'^q = x', and the x' = 0 line is zero as q - d >= 1).
+    """
+    if not 1 <= d < 1 << tower.m or not tower.in_subfield(lam):
+        raise ValueError(f"need 1 <= d < 2^{tower.m} and lambda in GF(2^{tower.m}), got d={d}")
+    aq = tower.frobenius(a, tower.m)
+    zd = tower.pow_vec(tower.tables.subfield_elements, d)
+    return _class_h_table(tower, tower.mul_scalar_vec(tower.mul(lam, a ^ aq), zd), 0, aq)
 
 
-def opoly_to_univariate(tower: FieldTower, F: "OPolyMap", a: int) -> TracePolynomial:  # noqa: F821
+def opoly_to_univariate(tower: FieldTower, F: OPolyMap, a: int) -> TracePolynomial:
     """Sum the expansions of F's monomials, merge exponents, drop linears.
 
     F must be given in sparse form (its .terms).  Constant terms contribute

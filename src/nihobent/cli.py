@@ -122,6 +122,7 @@ def cmd_construct(args) -> int:
     t0 = time.perf_counter()
     niho.FAMILIES[args.family].check(args)  # before --a auto runs and --out is made
     tower = make_tower(args.m)
+    tower.tables  # past the table limit this raises before --out is made
     coeffs = None
     if args.coeffs:
         coeffs = tuple(tower.element_from_hex(h) for h in args.coeffs.split(","))
@@ -313,8 +314,9 @@ def cmd_walsh(args) -> int:
     n = len(tt).bit_length() - 1
     if n % 2 != 0:
         raise ValueError(f"table has n = {n} variables; need even n")
-    out = _out_dir(args.out)
     tower = make_tower(n // 2)
+    tower.tables  # past the table limit this raises before --out is made
+    out = _out_dir(args.out)
     spec = boolfun.walsh(tt, tower)
     record = _function_record(tower, tt, spec)
     stem = Path(args.table).stem.split(".")[0]

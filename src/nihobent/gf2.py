@@ -307,7 +307,10 @@ class FieldTower:
         return x.to_bytes(nbytes, "little").hex()
 
     def element_from_hex(self, s: str) -> int:
-        x = int.from_bytes(bytes.fromhex(s), "little")
+        try:
+            x = int.from_bytes(bytes.fromhex(s), "little")
+        except ValueError:
+            raise ValueError(f"encoding {s!r} is not a string of hex bytes") from None
         if x >= self.size:
             raise ValueError(f"encoding {s!r} out of range for n={self.n}")
         return x

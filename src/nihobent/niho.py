@@ -24,13 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .boolfun import TracePolynomial
+from .boolfun import TracePolynomial, _niho_d, _sc_exponent
 from .gf2 import FieldTower
-
-
-def _niho_d(m: int, s: int) -> int:
-    order = (1 << 2 * m) - 1
-    return (((1 << m) - 1) * (s % ((1 << m) + 1)) + 1) % order
 
 
 # ---- family constructors -----------------------------------------------------
@@ -126,10 +121,6 @@ def build_lk_coeff(tower: FieldTower, r: int, coeffs: list[int]) -> TracePolynom
     terms = [(n, coeffs[-1], (1 << m) + 1)]
     terms += [(n, c, d) for c, d in zip(coeffs, lk_exponents(m, r))]
     return TracePolynomial(m, tuple(terms))
-
-
-def _sc_exponent(m: int) -> int:
-    return (1 << (m - 1)) * ((1 << m) + 1)
 
 
 def build_qu_family(

@@ -208,6 +208,22 @@ def bivariate_line_oracle(tower, spec):
     return bits
 
 
+def bivariate_monomial_oracle(tower, d, lam, a):
+    """Tr_m(lambda x^(2^m-d) y^d) at every t, one full-field pass; oracle for bivariate_monomial_table.
+
+    x = t + t^(2^m) and y = a t + a^(2^m) t^(2^m), the expansion's substitution.
+    """
+    m = tower.m
+    ts = np.arange(tower.size, dtype=np.int64)
+    frob = tower.pow_vec(ts, 1 << m)
+    xs = ts ^ frob
+    ys = tower.mul_scalar_vec(a, ts) ^ tower.mul_scalar_vec(tower.frobenius(a, m), frob)
+    vals = tower.mul_scalar_vec(
+        lam, tower.mul_vec(tower.pow_vec(xs, (1 << m) - d), tower.pow_vec(ys, d))
+    )
+    return tower.tables.subfield_trace_bits[vals]
+
+
 def spectrum_csv_oracle(spec, tower):
     """Rows `w_hex,value` formatted one at a time; oracle for boolfun.spectrum_to_csv."""
     return "".join(f"{tower.element_hex(w)},{v}\n" for w, v in enumerate(spec.tolist()))

@@ -9,11 +9,16 @@ import math
 
 import numpy as np
 
-from conftest import is_affine_difference, scale_input, tt_of, walsh_naive
+from conftest import (
+    bivariate_monomial_oracle,
+    is_affine_difference,
+    scale_input,
+    tt_of,
+    walsh_naive,
+)
 from nihobent import (
     OPolyMap,
     algebraic_degree,
-    bivariate_monomial_table,
     build_binomial,
     build_cubic_family,
     build_lk,
@@ -106,7 +111,7 @@ def test_criterion_3_bridge_equality():
             for lam in lams:
                 res = expand_monomial(tower, d, lam, a)
                 uni = evaluate(tower, res.to_trace_polynomial(tower))
-                biv = bivariate_monomial_table(tower, d, lam, a)
+                biv = bivariate_monomial_oracle(tower, d, lam, a)
                 assert np.array_equal(uni, biv), (m, d, lam)
                 points += tower.size
     report(f"3: PASS - pointwise equality at {points} points across m=3..6")

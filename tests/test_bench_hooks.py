@@ -2,6 +2,7 @@
 CLI's output files; a rename or a format change must fail here."""
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,21 @@ def test_tracer_installs_and_uninstalls():
     assert nihobent.walsh is before["walsh"]
     assert gf2.FieldTower.__dict__["pow_vec"] is before["pow_vec"]
     assert opoly.OPolyMap.__dict__["from_terms"] is before["from_terms"]
+
+
+def test_every_timed_span_names_a_public_callable():
+    # a per-layer metric sums spans by name; a renamed or deleted function would read 0
+    names = [name for spans in load("tracing").TIMED.values() for name in spans]
+    for name in names:
+        module, *path = name.split(".")
+        mod = importlib.import_module(f"nihobent.{module}")
+        assert not any(part.startswith("_") for part in path), name
+        if len(path) == 1:  # a module function, which the tracer wraps where it is defined
+            fn = getattr(mod, path[0], None)
+            assert inspect.isfunction(fn) and fn.__module__ == mod.__name__, name
+        else:  # an OPolyMap constructor
+            assert path[0] == "OPolyMap" and len(path) == 2, name
+            assert isinstance(opoly.OPolyMap.__dict__.get(path[1]), classmethod), name
 
 
 @pytest.mark.parametrize("workload", ["families", "opoly", "spectra"])

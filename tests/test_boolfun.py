@@ -35,11 +35,13 @@ from nihobent import (
     spectrum_to_csv,
     table_from_hex,
     table_to_hex,
+    verdict_from_spectrum,
     walsh,
 )
 from nihobent.boolfun import (
     _FORMAT_BLOCK,
     _check_table,
+    _fwht,
     _gram_permutation,
     spectrum_to_json,
 )
@@ -67,26 +69,21 @@ def test_linear_form_is_balanced(tower3):
 
 def test_walsh_of_constant_zero():
     tt = np.zeros(16, dtype=np.uint8)
-    spec = walsh(tt)
+    tower = make_tower(2)
+    spec = walsh(tt, tower)
     assert spec[0] == 16
     assert not spec[1:].any()
-    v = is_bent(tt)
+    v = is_bent(tt, tower)
     assert not v.bent and v.witness_w == 0 and v.witness_value == 16
-
-
-def test_two_variable_bent():
-    spec = walsh(AND2)
-    assert set(np.abs(spec).tolist()) == {2}
-    assert is_bent(AND2).bent
-    assert np.array_equal(dual(AND2), AND2)
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_fwht_matches_naive_dot_product(n):
+    # the butterfly alone computes the spectrum under the plain inner product <w, x>
     rng = np.random.default_rng(n)
     for _ in range(10):
         tt = rng.integers(0, 2, 1 << n).astype(np.uint8)
-        assert np.array_equal(walsh(tt), walsh_naive(tt))
+        assert np.array_equal(_fwht(1 - 2 * tt.astype(np.int64)), walsh_naive(tt))
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -135,9 +132,15 @@ def test_parseval_exact(tower4):
         assert int((spec**2).sum()) == 2 ** (2 * tower4.n)
 
 
-def test_is_bent_rejects_odd_n():
-    with pytest.raises(ValueError):
-        is_bent(np.zeros(8, dtype=np.uint8))
+def test_verdict_from_spectrum_rejects_odd_n():
+    with pytest.raises(ValueError, match="even number of variables"):
+        verdict_from_spectrum(np.full(8, 8, dtype=np.int64))
+
+
+def test_walsh_rejects_a_table_of_another_size(tower3):
+    for f in (walsh, is_bent, nonlinearity, dual):
+        with pytest.raises(ValueError, match="does not match the tower"):
+            f(np.zeros(tower3.size // 4, dtype=np.uint8), tower3)
 
 
 def test_dual_involution_and_bentness(tower3):

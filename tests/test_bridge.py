@@ -3,6 +3,7 @@ import pytest
 
 from conftest import (
     bivariate_line_oracle,
+    bivariate_monomial_oracle,
     frobenius_input,
     is_affine_difference,
     primitive_unit,
@@ -92,8 +93,34 @@ def test_pointwise_bridge_equality_all_d(m):
         for lam in lams:
             res = expand_monomial(tower, d, lam, a)
             uni = evaluate(tower, res.to_trace_polynomial(tower))
-            biv = bivariate_monomial_table(tower, d, lam, a)
+            biv = bivariate_monomial_oracle(tower, d, lam, a)
             assert np.array_equal(uni, biv), (m, d, lam)
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_monomial_table_is_class_h_table(m):
+    # Tr_m(lambda T(t)^(q-d) T(a t)^d) is the class-H table of lambda T(a) z^d
+    # on the basis a^q: the polar pass equals the full-field oracle for every d
+    tower = make_tower(m)
+    rng = np.random.default_rng(30 + m)
+    sub = tower.tables.subfield_elements
+    lams = [1, *(int(x) for x in rng.choice(sub[1:], 2))]
+    bases = [flagged(tower)]
+    if m == 3:  # every basis element off the subfield, the flagged one among them
+        bases = np.nonzero(~tower.tables.subfield_mask)[0].tolist()
+    for a in bases:
+        for d in range(1, 1 << m):
+            for lam in lams:
+                biv = bivariate_monomial_table(tower, d, lam, a)
+                want = bivariate_monomial_oracle(tower, d, lam, a)
+                assert np.array_equal(biv, want), (m, d, lam, a)
+
+
+def test_monomial_table_rejects_bad_inputs(tower3):
+    a = flagged(tower3)
+    for d, lam, basis in ((0, 1, a), (8, 1, a), (6, a, a), (6, 1, 1)):
+        with pytest.raises(ValueError):
+            bivariate_monomial_table(tower3, d, lam, basis)
 
 
 @pytest.mark.parametrize("m", [4, 5, 6])
@@ -232,7 +259,7 @@ def test_leading_term_flag(m):
         biv = np.zeros(tower.size, dtype=np.uint8)
         for c, e in F.terms:
             sc ^= self_conjugate(e, c)
-            biv ^= bivariate_monomial_table(tower, e, c, a)
+            biv ^= bivariate_monomial_oracle(tower, e, c, a)
         assert [c for _, c, e in route.terms if e == sc_exp] == ([sc] if sc else [])
         assert is_affine_difference(evaluate(tower, route), biv), F.terms
         kept.append(sc != 0)

@@ -300,6 +300,43 @@ def test_construct_missing_param_leaves_no_out_dir(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_construct_past_the_table_limit_leaves_no_out_dir(tmp_path, capsys):
+    # the tower's tables are built before --out is made, so n = 24 makes no directory
+    out_dir = tmp_path / "new"
+    code, out, err = run(
+        capsys, "construct", "--family", "quadratic", "--m", "12", "--a", "01",
+        "--out", str(out_dir),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: table-backed operations unsupported for n=24\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("construct", "--family", "quadratic", "--m", "5", "--a", "zz"),
+        ("construct", "--family", "binomial_3", "--m", "5", "--b", "zz"),
+        ("construct", "--family", "lk_coeff", "--m", "5", "--r", "2", "--coeffs", "01,zz"),
+        ("expand", "--m", "5", "--d", "6", "--lambda", "zz"),
+        ("expand", "--m", "5", "--F", '[{"c":"zz","e":6}]'),
+        ("opoly", "--m", "5", "--terms", '[{"c":"zz","e":6}]'),
+    ],
+    ids=[
+        "construct_a", "construct_b", "construct_coeffs", "expand_lambda", "expand_F", "opoly_terms",
+    ],
+)
+def test_malformed_hex_is_bad_input(tmp_path, monkeypatch, capsys, argv):
+    # exit 2 with one error line that quotes the text that is not hexadecimal
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: encoding 'zz' is not a string of hex bytes\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_walsh_unreadable_table_is_bad_input(tmp_path, capsys):
     # a missing file and a directory both exit 2 with one error line
     for path in (tmp_path / "missing.tt.hex", tmp_path):
