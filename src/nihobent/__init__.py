@@ -15,6 +15,7 @@ from .boolfun import (
     dual,
     evaluate,
     is_bent,
+    lk_exponents,
     nonlinearity,
     nonlinearity_from_spectrum,
     spectrum_to_csv,
@@ -35,7 +36,6 @@ from .niho import (
     build_qu_family,
     build_quadratic,
     build_trinomial_sum,
-    lk_exponents,
 )
 from .opoly import (
     OPolyMap,

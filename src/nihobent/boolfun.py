@@ -116,6 +116,15 @@ def _sc_exponent(m: int) -> int:
     return (1 << (m - 1)) * ((1 << m) + 1)
 
 
+def lk_exponents(m: int, r: int) -> list[int]:
+    """The LK ladder: exponents (2^m - 1)(2^(m-r) i + 1) + 1 for slots i = 1 .. 2^(r-1) - 1.
+
+    2^(m-r) is read modulo 2^m + 1, which also covers r > m.
+    """
+    step = pow(2, m - r, (1 << m) + 1)
+    return [_niho_d(m, step * i + 1) for i in range(1, 1 << (r - 1))]
+
+
 def _polar_table(tower: FieldTower, g: np.ndarray) -> np.ndarray:
     """Table of t = v u -> Tr_m(v g(u)), with g indexed by u_j = gamma^((q-1) j).
 
@@ -314,6 +323,14 @@ def _json_blocks(spec: np.ndarray):
     if len(spec):
         yield str(int(spec[-1])).encode()
     yield b"]"
+
+
+def write_spectrum(path, spec: np.ndarray, tower: FieldTower, fmt: str) -> None:
+    """Write the text of spectrum_to_csv or spectrum_to_json (fmt "csv" or "json") by blocks."""
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown spectrum format {fmt!r}")
+    with open(path, "wb") as fh:  # no whole-file string is built
+        fh.writelines(_csv_blocks(spec, tower) if fmt == "csv" else _json_blocks(spec))
 
 
 def spectrum_to_csv(spec: np.ndarray, tower: FieldTower) -> str:

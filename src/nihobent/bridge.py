@@ -7,11 +7,11 @@ Tr_m(v g(u)) for one array g on the unit circle, so its table costs
 O(2^m + 2^n) through the same pass.  The other direction expands a single
 subfield monomial Tr_m(lambda x^(2^m - d) y^d) into an explicit univariate
 trace polynomial under the substitution x = t + t^(2^m),
-y = a t + a^(2^m) t^(2^m): a linear term, a self-conjugate term, and a
-ladder of 2^(m-l-1) - 1 terms whose coefficients A_c' come in closed form
-(l is the position of the lowest set bit of d).  Summing expansions over
-the monomials of an o-polynomial and dropping the linear part yields the
-bent function the o-polynomial encodes.
+y = a t + a^(2^m) t^(2^m): a linear term, a self-conjugate term, and the
+LK ladder of r = m - l read backwards, 2^(m-l-1) - 1 terms whose
+coefficients A_c' come in closed form (l is the position of the lowest set
+bit of d).  Summing expansions over the monomials of an o-polynomial and
+dropping the linear part yields the bent function the o-polynomial encodes.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfun import TracePolynomial, _niho_d, _polar_table, _sc_exponent
+from .boolfun import TracePolynomial, _niho_d, _polar_table, _sc_exponent, lk_exponents
 from .gf2 import FieldTower, _reduce_exponent
 from .opoly import OPolyMap
 
@@ -85,10 +85,6 @@ class ExpansionResult:
     def sc_exponent(self) -> int:
         return _sc_exponent(self.m)
 
-    def ladder_exponent(self, cprime: int) -> int:
-        m, l = self.m, self.l
-        return _niho_d(m, (1 << l) * ((1 << (m - l - 1)) - cprime) + 1)
-
     def to_trace_polynomial(
         self, tower: FieldTower, include_linear: bool = True
     ) -> TracePolynomial:
@@ -99,8 +95,9 @@ class ExpansionResult:
             terms.append((n, tower.mul(lam, self.linear_coef), self.linear_exponent))
         sc = tower.add(self.sc_pair[0], self.sc_pair[1])
         terms.append((m, tower.mul(lam, sc), self.sc_exponent))
-        for cprime, A in enumerate(self.coeffs, start=1):
-            terms.append((n, tower.mul(lam, A), self.ladder_exponent(cprime)))
+        # A_c' sits on (2^m - 1)(2^l (2^(m-l-1) - c') + 1) + 1: the LK ladder of m - l, backwards
+        for A, e in zip(self.coeffs, reversed(lk_exponents(m, m - self.l)), strict=True):
+            terms.append((n, tower.mul(lam, A), e))
         return TracePolynomial(m, tuple(terms))
 
 

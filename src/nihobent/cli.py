@@ -31,6 +31,7 @@ from .gf2 import find_unit_relative_trace, make_tower
 
 SCHEMA = 1
 DEFAULT_SEED = 12345
+LAMBDA_SWEEPS = 3  # random nonzero lambdas that `expand --check` also compares pointwise
 
 
 def _spectrum_summary(spec: np.ndarray) -> dict:
@@ -194,12 +195,10 @@ def cmd_opoly(args) -> int:
 def cmd_expand(args) -> int:
     if args.F is None and args.d is None:
         raise ValueError("expand needs --d or --F")
-    if args.sweeps < 0:
-        raise ValueError(f"--sweeps must be >= 0, got {args.sweeps}")
     t0 = time.perf_counter()
     tower = make_tower(args.m)
     a = _resolve_a(tower, args.a, require_primitive=True)
-    lam = tower.element_from_hex(args.lam) if args.lam else 1
+    lam = tower.element_from_hex(args.lam) if args.lam is not None else 1
     rng = random.Random(args.seed)
     ok = True
     records = []
@@ -237,7 +236,7 @@ def cmd_expand(args) -> int:
                 pointwise_equal(
                     bridge.expand_monomial(tower, args.d, int(sub[rng.randrange(1, len(sub))]), a)
                 )
-                for _ in range(args.sweeps)
+                for _ in range(LAMBDA_SWEEPS)
             ]
             ok = (
                 rec["pointwise_equal"]
@@ -256,13 +255,12 @@ def cmd_tables(args) -> int:
         raise ValueError(f"the equivalent-o-monomial table has rows only for odd m, got m={args.m}")
     a = find_unit_relative_trace(tower, require_primitive=True)
     rows_out = []
-    ok = True
 
     def cell_record(head, cell, pipe_map):
-        """Measured degree, bentness and pipeline match of one cell; the caller adds `pass`."""
+        """Measured degree, bentness and pipeline match of one cell; `pass` needs all three."""
         cellmap = opoly.OPolyMap.from_terms(tower, [(1, e) for e in cell.exponents])
         tt = boolfun.evaluate(tower, bridge.opoly_to_univariate(tower, cellmap, a))
-        return {
+        rec = {
             **head,
             "exponents": list(cell.exponents),
             "expected_degree": cell.degree,
@@ -270,6 +268,12 @@ def cmd_tables(args) -> int:
             "bent": boolfun.is_bent(tt, tower).bent,
             "matches_pipeline": cellmap == pipe_map,
         }
+        rec["pass"] = (
+            rec["bent"]
+            and (cell.degree is None or rec["measured_degree"] == cell.degree)
+            and rec["matches_pipeline"]
+        )
+        return rec
 
     for row in opoly.equivalence_table(args.m):
         entry = {"family": row.family, "cells": []}
@@ -283,23 +287,14 @@ def cmd_tables(args) -> int:
             if not cell.exponents:
                 entry["cells"].append({"column": label, "note": cell.condition})
                 continue
-            rec = cell_record({"column": label}, cell, pipe_map)
-            rec["pass"] = (
-                rec["bent"]
-                and (cell.degree is None or rec["measured_degree"] == cell.degree)
-                and rec["matches_pipeline"]
-            )
-            ok = ok and rec["pass"]
-            entry["cells"].append(rec)
+            entry["cells"].append(cell_record({"column": label}, cell, pipe_map))
         for cell in row.g3_candidates:
             rec = cell_record({"column": "G3", "condition": cell.condition}, cell, g3_pipe)
-            rec["pass"] = rec["bent"] and rec["measured_degree"] == cell.degree
             if row.ambiguous_g3:
                 rec["ambiguous"] = True
-            else:
-                ok = ok and rec["pass"]
             entry["cells"].append(rec)
         rows_out.append(entry)
+    ok = all(cell.get("pass", True) for entry in rows_out for cell in entry["cells"])
     report = _report("tables", tower, t0, basis_a_hex=tower.element_hex(a), rows=rows_out)
     return _emit(report, ok)
 
@@ -321,12 +316,7 @@ def cmd_walsh(args) -> int:
     record = _function_record(tower, tt, spec)
     stem = Path(args.table).stem.split(".")[0]
     path = out / f"{stem}.spectrum.{args.format}"
-    if args.format == "csv":
-        blocks = boolfun._csv_blocks(spec, tower)
-    else:
-        blocks = boolfun._json_blocks(spec)
-    with path.open("wb") as fh:  # block by block: no whole-file string is built
-        fh.writelines(blocks)
+    boolfun.write_spectrum(path, spec, tower, args.format)
     report = _report("walsh", tower, t0, functions=[record], files={"spectrum": str(path)})
     return _emit(report, True)
 
@@ -372,7 +362,6 @@ def main(argv=None) -> int:
     p.add_argument("--lambda", dest="lam", help="subfield factor, little-endian hex")
     p.add_argument("--a", default="auto")
     p.add_argument("--check", action="store_true")
-    p.add_argument("--sweeps", type=int, default=3)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_expand)
 

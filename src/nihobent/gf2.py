@@ -308,9 +308,12 @@ class FieldTower:
 
     def element_from_hex(self, s: str) -> int:
         try:
-            x = int.from_bytes(bytes.fromhex(s), "little")
+            raw = bytes.fromhex(s)
+            if not raw:  # "" would otherwise read as 0
+                raise ValueError
         except ValueError:
             raise ValueError(f"encoding {s!r} is not a string of hex bytes") from None
+        x = int.from_bytes(raw, "little")
         if x >= self.size:
             raise ValueError(f"encoding {s!r} out of range for n={self.n}")
         return x

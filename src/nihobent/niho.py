@@ -2,19 +2,17 @@
 
 Every constructor emits a TracePolynomial over GF(2^{2m}) whose exponents d
 all satisfy d = 2^j (mod 2^m - 1), i.e. t^d restricted to the subfield is
-linear.  The ladder exponents are in the normalized form
-d = (2^m - 1) s + 1 with s read modulo 2^m + 1.
+linear, in the normalized form d = (2^m - 1) s + 1 with s read modulo 2^m + 1.
 
-Families: the quadratic monomial, the two binomials, the geometric
-power-sum family with 2^(r-1) equal coefficients (build_lk), its
-coefficiented generalisation (build_lk_coeff), the four-coefficient cycle
-family from quadratic o-monomials (build_qu_family), the single-coefficient
-variant (build_g_lk2), the eight-coefficient cycle family from the cubic
-o-monomial (build_cubic_family), and the three-family sum matching the
-o-trinomial (build_trinomial_sum).  FAMILIES maps each family name, and
-the short spellings "cubic" and "trinomial", to its constructor call and
-the FamilyParams fields that call needs; build(tower, params) dispatches
-through it.
+Besides the quadratic monomial and the two binomials, every family is the
+Leander-Kholosha ladder lk_exponents(m, r) plus a coefficient rule, built by
+one `_ladder`: build_lk (one coefficient), build_lk_coeff (any), build_g_lk2
+(r = m - J), build_qu_family (a four-value cycle from quadratic o-monomials)
+and build_cubic_family (an eight-value cycle from the cubic o-monomial).
+build_trinomial_sum adds three of them to match the o-trinomial.  FAMILIES
+maps each family name, and the short spellings "cubic" and "trinomial", to
+its constructor call and the FamilyParams fields that call needs;
+build(tower, params) dispatches through it.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .boolfun import TracePolynomial, _niho_d, _sc_exponent
+from .boolfun import TracePolynomial, _niho_d, _sc_exponent, lk_exponents
 from .gf2 import FieldTower
 
 
@@ -69,17 +67,18 @@ def build_binomial(tower: FieldTower, b: int, variant: str = "d2_3") -> TracePol
     return TracePolynomial(m, ((m, a, (1 << m) + 1), (tower.n, b, binomial_exponent(m, variant))))
 
 
-def lk_exponents(m: int, r: int) -> list[int]:
-    """Exponents (2^m - 1)(2^(m-r) i + 1) + 1 for i = 1 .. 2^(r-1) - 1.
+def _ladder(
+    tower: FieldTower, r: int, top: tuple[int, int, int], coef: Callable[[int], int]
+) -> TracePolynomial:
+    """The LK ladder of r with coefficient rule `coef`.
 
-    2^(m-r) is read modulo 2^m + 1, which also covers r > m.
+    `top` is the term of slot 2^(r-1), on the exponent 2^m + 1 (Tr_n) or the
+    self-conjugate exponent (Tr_m); it is followed by (n, coef(i), d_i) for
+    every slot i of lk_exponents(m, r).
     """
-    step = pow(2, m - r, (1 << m) + 1)
-    return [_niho_d(m, step * i + 1) for i in range(1, 1 << (r - 1))]
-
-
-def is_canonical_lk_params(m: int, r: int) -> bool:
-    return 1 < r < m and math.gcd(r, m) == 1
+    n = tower.n
+    terms = [top] + [(n, coef(i), d) for i, d in enumerate(lk_exponents(tower.m, r), start=1)]
+    return TracePolynomial(tower.m, tuple(terms))
 
 
 def build_lk(tower: FieldTower, a: int, r: int) -> TracePolynomial:
@@ -89,11 +88,11 @@ def build_lk(tower: FieldTower, a: int, r: int) -> TracePolynomial:
     m < r < 2m are accepted non-canonically (the function then reduces to a
     smaller r up to affine terms); anything else is rejected.
     """
-    m, n = tower.m, tower.n
+    m = tower.m
     b = tower.add(a, tower.frobenius(a, m))
     if b == 0:
         raise ValueError(f"a = {a:#x} lies in the subfield (a + a^(2^m) = 0)")
-    canonical = is_canonical_lk_params(m, r)
+    canonical = 1 < r < m and math.gcd(r, m) == 1
     reduction = r == m + 1 or (m + 1 < r < 2 * m and math.gcd(r - m, m) == 1)
     if not (canonical or reduction):
         raise ValueError(
@@ -101,10 +100,7 @@ def build_lk(tower: FieldTower, a: int, r: int) -> TracePolynomial:
             f"(or m < r < 2m for the reduction forms); got r={r}, m={m}, "
             f"gcd(r, m) = {math.gcd(r, m)}"
         )
-    a2 = tower.mul(a, a)
-    terms = [(n, a2, (1 << m) + 1)]
-    terms += [(n, b, d) for d in lk_exponents(m, r)]
-    return TracePolynomial(m, tuple(terms))
+    return _ladder(tower, r, (tower.n, tower.mul(a, a), (1 << m) + 1), lambda i: b)
 
 
 def build_lk_coeff(tower: FieldTower, r: int, coeffs: list[int]) -> TracePolynomial:
@@ -113,14 +109,12 @@ def build_lk_coeff(tower: FieldTower, r: int, coeffs: list[int]) -> TracePolynom
     coeffs lists A_1 .. A_{2^(r-1)}; zeros are allowed and express
     cancellation.  No bentness is implied.
     """
-    m, n = tower.m, tower.n
+    m = tower.m
     if not 0 < r < m:
         raise ValueError(f"requires 0 < r < m; got r={r}, m={m}")
     if len(coeffs) != 1 << (r - 1):
         raise ValueError(f"need 2^(r-1) = {1 << (r - 1)} coefficients, got {len(coeffs)}")
-    terms = [(n, coeffs[-1], (1 << m) + 1)]
-    terms += [(n, c, d) for c, d in zip(coeffs, lk_exponents(m, r))]
-    return TracePolynomial(m, tuple(terms))
+    return _ladder(tower, r, (tower.n, coeffs[-1], (1 << m) + 1), lambda i: coeffs[i - 1])
 
 
 def build_qu_family(
@@ -129,11 +123,11 @@ def build_qu_family(
     """Coefficient-cycle family attached to quadratic o-monomials.
 
     Coefficients A_1 = a^(2^I) + 1, A_2 = a^(2^I) + a^(2^J),
-    A_3 = A_2 + 1 repeat along the exponent ladder in a cycle of length
-    2^(c+1) as A_1 (x 2^c - 1), A_2, A_1^(2^m) (x 2^c - 1), A_3; the final
-    A_3 sits on the self-conjugate exponent under Tr_m.
+    A_3 = A_2 + 1 repeat along the LK ladder of r in a cycle of length
+    2^(c+1): slot i carries A_3, A_1 (x 2^c - 1), A_2, A_1^(2^m) (x 2^c - 1)
+    by i mod 2^(c+1); A_3 also sits on the self-conjugate exponent under Tr_m.
     """
-    m, n = tower.m, tower.n
+    m = tower.m
     _require_unit_trace(tower, a)
     if not 2 < r <= m:
         raise ValueError(f"requires 2 < r <= m; got r={r}, m={m}")
@@ -144,24 +138,9 @@ def build_qu_family(
     A1 = tower.add(tower.pow(a, 1 << I), 1)
     A2 = tower.add(tower.pow(a, 1 << I), tower.pow(a, 1 << J))
     A3 = tower.add(A2, 1)
-    A1c = tower.frobenius(A1, m)
-    step = 1 << (m - r)
-
-    def expo(idx: int) -> int:
-        return _niho_d(m, step * idx + 1)
-
-    terms = [(m, A3, _sc_exponent(m))]
-    blocks = 1 << (r - c - 2)
-    for j in range(blocks):
-        base = (j << (c + 1))
-        for i in range(1, 1 << c):
-            terms.append((n, A1, expo(base + i)))
-        terms.append((n, A2, expo(base + (1 << c))))
-        for i in range((1 << c) + 1, 1 << (c + 1)):
-            terms.append((n, A1c, expo(base + i)))
-    for j in range(blocks - 1):
-        terms.append((n, A3, expo((j << (c + 1)) + (1 << (c + 1)))))
-    return TracePolynomial(m, tuple(terms))
+    run = (1 << c) - 1
+    cycle = [A3, *[A1] * run, A2, *[tower.frobenius(A1, m)] * run]
+    return _ladder(tower, r, (m, A3, _sc_exponent(m)), lambda i: cycle[i % len(cycle)])
 
 
 def build_g_lk2(tower: FieldTower, J: int, a: int) -> TracePolynomial:
@@ -170,27 +149,26 @@ def build_g_lk2(tower: FieldTower, J: int, a: int) -> TracePolynomial:
     A_1 = a^(2^(m-1)) on every ladder term, A_3 = A_1 + a^(2^J) on the
     self-conjugate term.
     """
-    m, n = tower.m, tower.n
+    m = tower.m
     _require_unit_trace(tower, a)
     if not 0 <= J < m - 1:
         raise ValueError(f"requires 0 <= J < m - 1; got J={J}, m={m}")
-    r = m - J
     A1 = tower.pow(a, 1 << (m - 1))
     A3 = tower.add(A1, tower.pow(a, 1 << J))
-    terms = [(m, A3, _sc_exponent(m))]
-    terms += [(n, A1, d) for d in lk_exponents(m, r)]
-    return TracePolynomial(m, tuple(terms))
+    return _ladder(tower, m - J, (m, A3, _sc_exponent(m)), lambda i: A1)
 
 
 def build_cubic_family(tower: FieldTower, I: int, J: int, a: int) -> TracePolynomial:
     """Eight-value coefficient cycle attached to the cubic o-monomial.
 
     A_1 = a^(3 * 2^(I-1)), A_2 = a^(2^I)(a^(2^(I-1)) + a^(2^J)),
-    A_3 = a^(3 * 2^(I-1) + 2^J) + (a+1)^(3 * 2^(I-1) + 2^J); the cycle of
-    length 2^(I-J+1) walks A_1, A_2 blocks scaled by powers of
-    a^(2^(I-1)(2^m - 1)) and closes with A_3.
+    A_3 = a^(3 * 2^(I-1) + 2^J) + (a+1)^(3 * 2^(I-1) + 2^J).  Along the LK
+    ladder of r = m - J the coefficients cycle with length 4w,
+    w = 2^(I-J-1): block j of the cycle is A_3 (j = 0) or A_2 e_(j-1),
+    then A_1 e_j (x w - 1), with e_j = a^(j 2^(I-1)(2^m - 1)).  A_3 also
+    sits on the self-conjugate exponent under Tr_m.
     """
-    m, n = tower.m, tower.n
+    m = tower.m
     _require_unit_trace(tower, a)
     if not 0 < J + 1 < I < m - 1:
         raise ValueError(f"requires 0 < J + 1 < I < m - 1; got J={J}, I={I}, m={m}")
@@ -203,24 +181,9 @@ def build_cubic_family(tower: FieldTower, I: int, J: int, a: int) -> TracePolyno
     A3 = tower.add(tower.pow(a, e3), tower.pow(tower.add(a, 1), e3))
     ae = [tower.pow(a, j * (1 << (I - 1)) * ((1 << m) - 1)) for j in range(4)]
     width = 1 << (I - J - 1)
-    step = 1 << J
-
-    def expo(idx: int) -> int:
-        return _niho_d(m, step * idx + 1)
-
-    terms = [(m, A3, _sc_exponent(m))]
-    blocks = 1 << (m - I - 2)
-    for l in range(blocks):
-        for j in range(4):
-            base = width * (4 * l + j)
-            coef1 = tower.mul(A1, ae[j])
-            for i in range(1, width):
-                terms.append((n, coef1, expo(base + i)))
-            if j < 3:
-                terms.append((n, tower.mul(A2, ae[j]), expo(base + width)))
-    for l in range(blocks - 1):
-        terms.append((n, A3, expo(width * (4 * l + 3) + width)))
-    return TracePolynomial(m, tuple(terms))
+    heads = [A3, *(tower.mul(A2, e) for e in ae[:3])]
+    cycle = [C for head, e in zip(heads, ae) for C in [head, *[tower.mul(A1, e)] * (width - 1)]]
+    return _ladder(tower, m - J, (m, A3, _sc_exponent(m)), lambda i: cycle[i % len(cycle)])
 
 
 def build_trinomial_sum(tower: FieldTower, k: int, a: int) -> TracePolynomial:

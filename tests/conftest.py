@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from nihobent import TracePolynomial, algebraic_degree, evaluate, make_tower
-from nihobent.boolfun import _check_table
+from nihobent.boolfun import _check_table, _niho_d, _sc_exponent
 from nihobent.gf2 import _parity, find_unit_relative_trace
+from nihobent.niho import _require_unit_trace
 
 
 @pytest.fixture(scope="session")
@@ -232,3 +233,63 @@ def spectrum_csv_oracle(spec, tower):
 def spectrum_json_oracle(spec):
     """The spectrum through json.dumps; oracle for boolfun.spectrum_to_json."""
     return json.dumps([int(v) for v in spec])
+
+
+def qu_family_oracle(tower, r, c, I, J, a):
+    """build_qu_family as per-block loops over the ladder; oracle for its term multiset."""
+    m, n = tower.m, tower.n
+    _require_unit_trace(tower, a)
+    A1 = tower.add(tower.pow(a, 1 << I), 1)
+    A2 = tower.add(tower.pow(a, 1 << I), tower.pow(a, 1 << J))
+    A3 = tower.add(A2, 1)
+    A1c = tower.frobenius(A1, m)
+    step = 1 << (m - r)
+
+    def expo(idx: int) -> int:
+        return _niho_d(m, step * idx + 1)
+
+    terms = [(m, A3, _sc_exponent(m))]
+    blocks = 1 << (r - c - 2)
+    for j in range(blocks):
+        base = (j << (c + 1))
+        for i in range(1, 1 << c):
+            terms.append((n, A1, expo(base + i)))
+        terms.append((n, A2, expo(base + (1 << c))))
+        for i in range((1 << c) + 1, 1 << (c + 1)):
+            terms.append((n, A1c, expo(base + i)))
+    for j in range(blocks - 1):
+        terms.append((n, A3, expo((j << (c + 1)) + (1 << (c + 1)))))
+    return TracePolynomial(m, tuple(terms))
+
+
+def cubic_family_oracle(tower, I, J, a):
+    """build_cubic_family as per-block loops over the ladder; oracle for its term multiset."""
+    m, n = tower.m, tower.n
+    _require_unit_trace(tower, a)
+    e3 = 3 * (1 << (I - 1)) + (1 << J)
+    A1 = tower.pow(a, 3 * (1 << (I - 1)))
+    A2 = tower.mul(
+        tower.pow(a, 1 << I),
+        tower.add(tower.pow(a, 1 << (I - 1)), tower.pow(a, 1 << J)),
+    )
+    A3 = tower.add(tower.pow(a, e3), tower.pow(tower.add(a, 1), e3))
+    ae = [tower.pow(a, j * (1 << (I - 1)) * ((1 << m) - 1)) for j in range(4)]
+    width = 1 << (I - J - 1)
+    step = 1 << J
+
+    def expo(idx: int) -> int:
+        return _niho_d(m, step * idx + 1)
+
+    terms = [(m, A3, _sc_exponent(m))]
+    blocks = 1 << (m - I - 2)
+    for l in range(blocks):
+        for j in range(4):
+            base = width * (4 * l + j)
+            coef1 = tower.mul(A1, ae[j])
+            for i in range(1, width):
+                terms.append((n, coef1, expo(base + i)))
+            if j < 3:
+                terms.append((n, tower.mul(A2, ae[j]), expo(base + width)))
+    for l in range(blocks - 1):
+        terms.append((n, A3, expo(width * (4 * l + 3) + width)))
+    return TracePolynomial(m, tuple(terms))

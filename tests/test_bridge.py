@@ -23,15 +23,22 @@ from nihobent import (
     is_bent,
     is_opolynomial,
     expand_monomial,
+    lk_exponents,
     make_tower,
     opoly_to_univariate,
     verify_coefficient_properties,
 )
+from nihobent.boolfun import _niho_d
 from nihobent.gf2 import find_unit_relative_trace
 
 
 def flagged(tower):
     return find_unit_relative_trace(tower, require_primitive=True)
+
+
+def ladder(tower, res):
+    """Exponents of the expansion's ladder terms, in c' order."""
+    return [e for _, _, e in res.to_trace_polynomial(tower).terms[2:]]
 
 
 # ---- single-monomial expansion --------------------------------------------------
@@ -43,7 +50,7 @@ def test_worked_example_m3_d6(tower3):
     assert res.l == 1
     assert res.linear_exponent == 8
     assert res.sc_exponent == 36
-    assert [res.ladder_exponent(c) for c in range(1, len(res.coeffs) + 1)] == [22]
+    assert ladder(tower3, res) == lk_exponents(3, 3 - res.l)[::-1] == [22]
     assert all(c != 0 for c in res.coeffs)
 
 
@@ -51,9 +58,23 @@ def test_worked_example_m4_d2(tower4):
     a = flagged(tower4)
     res = expand_monomial(tower4, 2, 1, a)
     assert res.l == 1
-    exps = {res.ladder_exponent(c) for c in range(1, len(res.coeffs) + 1)}
-    assert exps == {15 * 2 * (4 - c) + 16 for c in (1, 2, 3)}
+    assert ladder(tower4, res) == lk_exponents(4, 4 - res.l)[::-1]
+    assert set(ladder(tower4, res)) == {15 * 2 * (4 - c) + 16 for c in (1, 2, 3)}
     assert res.sc_exponent == 8 * 17 == 136
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+def test_expansion_ladder_is_the_lk_ladder_backwards(m):
+    # A_c' of x^(q-d) y^d sits on (2^m - 1)(2^l (2^(m-l-1) - c') + 1) + 1, which is
+    # slot 2^(m-l-1) - c' of the LK ladder of r = m - l; the ladder depends on d only
+    # through l, so past m = 6 one d per l (d = 2^l, the cheapest to expand) covers it
+    tower = make_tower(m)
+    a = flagged(tower)
+    for d in range(1, 1 << m) if m <= 6 else [1 << l for l in range(m)]:
+        res = expand_monomial(tower, d, 1, a)
+        width = 1 << (m - res.l - 1)
+        closed_form = [_niho_d(m, (1 << res.l) * (width - c) + 1) for c in range(1, width)]
+        assert ladder(tower, res) == closed_form == lk_exponents(m, m - res.l)[::-1], d
 
 
 def test_empty_ladder_when_l_is_m_minus_one(tower4):

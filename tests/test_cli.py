@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -14,6 +15,7 @@ from nihobent import (
     make_tower,
     niho,
     nonlinearity,
+    opoly,
     table_from_hex,
     walsh,
 )
@@ -178,6 +180,32 @@ def test_tables_pass_at_every_small_m(capsys, m):
     assert ("cubic" in families) == (m % 2 == 1 and m >= 5)
 
 
+def test_tables_wrong_ambiguous_g3_fails(capsys, monkeypatch):
+    # an ambiguous G3 candidate that is bent, of its stated degree, but not the
+    # pipeline's map fails its cell and the exit code
+    real = opoly.equivalence_table
+
+    def with_wrong_g3(m):
+        rows = real(m)
+        i = next(i for i, row in enumerate(rows) if row.family == "cubic")
+        row = rows[i]
+        wrong = dataclasses.replace(
+            row.g3_candidates[0], exponents=row.g1.exponents, degree=row.g1.degree
+        )
+        rows[i] = dataclasses.replace(row, g3_candidates=(wrong,))
+        return rows
+
+    monkeypatch.setattr(opoly, "equivalence_table", with_wrong_g3)
+    code, out, _ = run(capsys, "tables", "--m", "5")
+    assert code == 1
+    cells = [(r["family"], c) for r in json.loads(out)["rows"] for c in r["cells"] if "pass" in c]
+    failed = [(family, c) for family, c in cells if not c["pass"]]
+    assert [(family, c["column"]) for family, c in failed] == [("cubic", "G3")]
+    cell = failed[0][1]
+    assert cell["ambiguous"] and cell["bent"] and not cell["matches_pipeline"]
+    assert cell["measured_degree"] == cell["expected_degree"]
+
+
 def test_walsh_roundtrip(tmp_path, capsys):
     run(
         capsys, "construct", "--family", "quadratic", "--m", "3",
@@ -257,7 +285,6 @@ MISSING_FIELD = {
     "argv, field",
     [
         (("expand", "--m", "5"), None),
-        (("expand", "--m", "3", "--d", "5", "--check", "--sweeps", "-1"), None),
         (("construct", "--family", "lk", "--m", "5", "--r", "2"), "a"),
         (("opoly", "--m", "5", "--terms", '[{"e":6}]'), None),
         (("opoly", "--m", "5", "--terms", '[{"c":"0100"}]'), None),
@@ -268,7 +295,7 @@ MISSING_FIELD = {
         ),
     ],
     ids=[
-        "expand_no_d_or_F", "expand_negative_sweeps", "construct_lk_no_a",
+        "expand_no_d_or_F", "construct_lk_no_a",
         "opoly_term_no_c", "opoly_term_no_e", "opoly_term_bool_e",
         *(f"construct_{family}_no_{field}" for family, (_, field) in MISSING_FIELD.items()),
     ],
@@ -322,18 +349,23 @@ def test_construct_past_the_table_limit_leaves_no_out_dir(tmp_path, capsys):
         ("expand", "--m", "5", "--d", "6", "--lambda", "zz"),
         ("expand", "--m", "5", "--F", '[{"c":"zz","e":6}]'),
         ("opoly", "--m", "5", "--terms", '[{"c":"zz","e":6}]'),
+        ("expand", "--m", "5", "--d", "6", "--lambda", ""),
+        ("expand", "--m", "3", "--F", '[{"c":"","e":6}]'),
+        ("opoly", "--m", "3", "--terms", '[{"c":"","e":6}]'),
     ],
     ids=[
         "construct_a", "construct_b", "construct_coeffs", "expand_lambda", "expand_F", "opoly_terms",
+        "expand_lambda_empty", "expand_F_empty", "opoly_terms_empty",
     ],
 )
 def test_malformed_hex_is_bad_input(tmp_path, monkeypatch, capsys, argv):
-    # exit 2 with one error line that quotes the text that is not hexadecimal
+    # exit 2 with one error line that quotes the text that is not hexadecimal; "" is not 0
     monkeypatch.chdir(tmp_path)
+    text = "zz" if any("zz" in arg for arg in argv) else ""
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err == "error: encoding 'zz' is not a string of hex bytes\n"
+    assert err == f"error: encoding {text!r} is not a string of hex bytes\n"
     assert not any(tmp_path.iterdir())
 
 

@@ -1,15 +1,18 @@
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import (
     coset_leader,
+    cubic_family_oracle,
     extract_class_h,
     is_affine_difference,
     niho_profile,
     primitive_unit,
+    qu_family_oracle,
     scale_input,
     tt_of,
     unit_trace_element,
@@ -373,6 +376,33 @@ def test_trinomial_components_individually_bent():
 def test_trinomial_sum_rejects_small_m(tower5):
     with pytest.raises(ValueError):
         build_trinomial_sum(tower5, 3, unit_trace_element(tower5))
+
+
+# ---- the LK ladder with a coefficient rule --------------------------------------
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_cycle_families_match_their_block_loops(m):
+    # every valid parameter set gives the terms of the per-block loop form, in ladder order
+    tower = make_tower(m)
+    a = unit_trace_element(tower)
+    for r, c, I, J in (
+        (r, c, I, J)
+        for r in range(3, m + 1) for c in range(1, r - 1) for I in range(1, m - 1) for J in range(I)
+    ):
+        got, want = build_qu_family(tower, r, c, I, J, a), qu_family_oracle(tower, r, c, I, J, a)
+        assert Counter(got.terms) == Counter(want.terms), (r, c, I, J)
+    for I, J in ((I, J) for I in range(2, m - 1) for J in range(I - 1)):
+        got, want = build_cubic_family(tower, I, J, a), cubic_family_oracle(tower, I, J, a)
+        assert Counter(got.terms) == Counter(want.terms), (I, J)
+    if m % 2 == 1 and m > 5:
+        k = (m + 1) // 2
+        want = (
+            build_lk(tower, a, k - 1)
+            + qu_family_oracle(tower, m - 1, k - 1, k, 1, a)
+            + cubic_family_oracle(tower, k + 1, 2, tower.add(a, 1))
+        )
+        assert Counter(build_trinomial_sum(tower, k, a).terms) == Counter(want.terms)
 
 
 # ---- cross-cutting invariants --------------------------------------------------
