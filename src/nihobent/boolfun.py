@@ -85,7 +85,7 @@ def evaluate(tower: FieldTower, poly: TracePolynomial) -> np.ndarray:
         if k == n:  # Tr_n(c t^e) = Tr_m(v^(2^s) (w + w^q))
             g ^= exp[lw * r % order] ^ exp[lw * (q * r % order) % order]
             continue
-        off = np.nonzero(~tower.tables.subfield_mask[exp[lw]])[0]
+        off = np.nonzero(tower.tables.subfield_index[exp[lw]] < 0)[0]
         if len(off):  # c t^e leaves GF(2^m) at t = u_j, v = 1
             t = int(exp[(q - 1) * int(off[0])])
             raise RepresentationError(

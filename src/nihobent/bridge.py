@@ -239,14 +239,12 @@ def verify_coefficient_properties(tower: FieldTower, res: ExpansionResult) -> Pr
     conj_viol = []
     for c in range(1, (width // 2) + 1):
         mirror = width - c
-        if mirror < 1:
-            continue
         lhs = tower.frobenius(A[c], m)
         rhs = A[mirror] if not top_in_d else tower.mul(twist, A[mirror])
         if lhs != rhs:
             conj_viol.append((c, lhs, rhs))
 
-    mid_skipped = m - l - 2 < 0 or (1 << (m - l - 2)) not in A
+    mid_skipped = m - l - 2 < 0
     mid_ok = True
     if not mid_skipped:
         v = A[1 << (m - l - 2)]

@@ -124,21 +124,14 @@ def cmd_construct(args) -> int:
     niho.FAMILIES[args.family].check(args)  # before --a auto runs and --out is made
     tower = make_tower(args.m)
     tower.tables  # past the table limit this raises before --out is made
-    coeffs = None
-    if args.coeffs:
-        coeffs = tuple(tower.element_from_hex(h) for h in args.coeffs.split(","))
-    params = niho.FamilyParams(
-        family=args.family,
-        m=args.m,
-        r=args.r,
-        c=args.c,
-        I=args.I,
-        J=args.J,
-        k=args.k,
-        a=_resolve_a(tower, args.a, require_primitive=False) if args.a else None,
-        b=tower.element_from_hex(args.b) if args.b else None,
-        coeffs=coeffs,
-    )
+    values = {name: getattr(args, name) for name in niho._FIELDS if getattr(args, name) is not None}
+    if "a" in values:
+        values["a"] = _resolve_a(tower, values["a"], require_primitive=False)
+    if "b" in values:
+        values["b"] = tower.element_from_hex(values["b"])
+    if "coeffs" in values:
+        values["coeffs"] = tuple(tower.element_from_hex(h) for h in values["coeffs"].split(","))
+    params = niho.FamilyParams(args.family, args.m, **values)
     poly = niho.build(tower, params)
     out = _out_dir(args.out)
     tt = boolfun.evaluate(tower, poly)
@@ -336,11 +329,9 @@ def main(argv=None) -> int:
     p = sub.add_parser("construct", help="build a bent-function family member")
     p.add_argument("--family", required=True, choices=tuple(niho.FAMILIES))
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--r", type=int)
-    p.add_argument("--c", type=int)
-    p.add_argument("--I", type=int)
-    p.add_argument("--J", type=int)
-    p.add_argument("--k", type=int)
+    for name in niho._FIELDS:
+        if name not in niho._ELEMENT_FIELDS:
+            p.add_argument(f"--{name}", type=int)
     p.add_argument("--a", help="'auto' or little-endian hex")
     p.add_argument("--b", help="little-endian hex")
     p.add_argument("--coeffs", help="comma-separated little-endian hex values")

@@ -115,7 +115,6 @@ class FieldTables(NamedTuple):
     log: np.ndarray  # int32, encoding x -> log_g x, -1 at x = 0
     trace_bits: np.ndarray  # uint8, x -> Tr_n(x)
     subfield_trace_bits: np.ndarray  # uint8, x -> Tr_m(x) on the subfield (a linear form elsewhere)
-    subfield_mask: np.ndarray  # bool, x -> x in GF(2^m)
     subfield_elements: np.ndarray  # int64, the 2^m subfield encodings in ascending order
     subfield_index: np.ndarray  # int32, encoding -> position in subfield_elements, -1 outside
 
@@ -234,8 +233,6 @@ class FieldTower:
 
         # the subfield is {0} and the powers of beta = g^(q+1)
         sub_elems = np.concatenate([[0], np.sort(exp[:: q + 1])], dtype=np.int64)
-        sub_mask = np.zeros(size, dtype=bool)
-        sub_mask[sub_elems] = True
         sub_index = np.full(size, -1, dtype=np.int32)
         sub_index[sub_elems] = np.arange(q, dtype=np.int32)
 
@@ -254,7 +251,6 @@ class FieldTower:
             log=log,
             trace_bits=_parity(idx & mask_n),
             subfield_trace_bits=_parity(idx & mask_m),
-            subfield_mask=sub_mask,
             subfield_elements=sub_elems,
             subfield_index=sub_index,
         )

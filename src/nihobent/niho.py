@@ -11,16 +11,17 @@ one `_ladder`: build_lk (one coefficient), build_lk_coeff (any), build_g_lk2
 and build_cubic_family (an eight-value cycle from the cubic o-monomial).
 build_trinomial_sum adds three of them to match the o-trinomial.  FAMILIES
 maps each family name, and the short spellings "cubic" and "trinomial", to
-its constructor call and the FamilyParams fields that call needs;
-build(tower, params) dispatches through it.
+its constructor and the FamilyParams fields it takes, by keyword; build()
+rejects params that set any other field, or another m, then calls it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from functools import partial
+from typing import Callable, NamedTuple, Sequence
 
 from .boolfun import TracePolynomial, _niho_d, _sc_exponent, lk_exponents
 from .gf2 import FieldTower
@@ -103,7 +104,7 @@ def build_lk(tower: FieldTower, a: int, r: int) -> TracePolynomial:
     return _ladder(tower, r, (tower.n, tower.mul(a, a), (1 << m) + 1), lambda i: b)
 
 
-def build_lk_coeff(tower: FieldTower, r: int, coeffs: list[int]) -> TracePolynomial:
+def build_lk_coeff(tower: FieldTower, r: int, coeffs: Sequence[int]) -> TracePolynomial:
     """Generic coefficiented form: Tr_n(A_{2^(r-1)} t^(2^m+1) + sum A_i t^d_i).
 
     coeffs lists A_1 .. A_{2^(r-1)}; zeros are allowed and express
@@ -208,41 +209,40 @@ def build_trinomial_sum(tower: FieldTower, k: int, a: int) -> TracePolynomial:
 
 
 class Family(NamedTuple):
-    """One registry entry: canonical name, required fields, constructor call."""
+    """One registry entry: canonical name, constructor, and the fields it takes."""
 
     name: str
-    needs: tuple[str, ...]  # FamilyParams fields the constructor cannot do without
-    build: Callable[[FieldTower, FamilyParams], TracePolynomial]
+    build: Callable[..., TracePolynomial]  # build(tower, **fields), each by its field name
+    fields: tuple[str, ...]  # FamilyParams fields, in the order a missing one is named
 
     def check(self, values) -> None:
-        """Fail unless every needed field of `values` (read by name) is set."""
-        missing = [name for name in self.needs if getattr(values, name) is None]
+        """Fail unless `values` (read by name) sets exactly this family's fields."""
+        missing = [name for name in self.fields if getattr(values, name) is None]
         if missing:
             raise ValueError(f"family {self.name} needs parameter(s) {', '.join(missing)}")
+        extra = [n for n in _FIELDS if n not in self.fields and getattr(values, n) is not None]
+        if extra:
+            raise ValueError(f"family {self.name} takes no parameter(s) {', '.join(extra)}")
 
 
 FAMILIES: dict[str, Family] = {
     f.name: f
     for f in (
-        Family("quadratic", ("a",), lambda t, p: build_quadratic(t, p.a)),
-        Family("binomial_3", ("b",), lambda t, p: build_binomial(t, p.b, "d2_3")),
-        Family("binomial_16", ("b",), lambda t, p: build_binomial(t, p.b, "d2_16")),
-        Family("lk", ("a", "r"), lambda t, p: build_lk(t, p.a, p.r)),
-        Family("lk_coeff", ("r", "coeffs"), lambda t, p: build_lk_coeff(t, p.r, list(p.coeffs))),
-        Family("qu_family", ("r", "c", "I", "J", "a"),
-               lambda t, p: build_qu_family(t, p.r, p.c, p.I, p.J, p.a)),
-        Family("g_lk2", ("J", "a"), lambda t, p: build_g_lk2(t, p.J, p.a)),
-        Family("cubic_family", ("I", "J", "a"), lambda t, p: build_cubic_family(t, p.I, p.J, p.a)),
-        Family("trinomial_sum", ("k", "a"), lambda t, p: build_trinomial_sum(t, p.k, p.a)),
+        Family("quadratic", build_quadratic, ("a",)),
+        Family("binomial_3", partial(build_binomial, variant="d2_3"), ("b",)),
+        Family("binomial_16", partial(build_binomial, variant="d2_16"), ("b",)),
+        Family("lk", build_lk, ("a", "r")),
+        Family("lk_coeff", build_lk_coeff, ("r", "coeffs")),
+        Family("qu_family", build_qu_family, ("r", "c", "I", "J", "a")),
+        Family("g_lk2", build_g_lk2, ("J", "a")),
+        Family("cubic_family", build_cubic_family, ("I", "J", "a")),
+        Family("trinomial_sum", build_trinomial_sum, ("k", "a")),
     )
 }
 FAMILIES |= {"cubic": FAMILIES["cubic_family"], "trinomial": FAMILIES["trinomial_sum"]}
 
 
-_PARAM_KEYS = {"family", "m", "r", "c", "I", "J", "k", "a_hex", "b_hex", "coeffs_hex"}
-
-
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class FamilyParams:
     """Serializable constructor arguments; unused fields stay None.
 
@@ -266,46 +266,45 @@ class FamilyParams:
         object.__setattr__(self, "family", FAMILIES[self.family].name)
 
     def to_json(self, tower: FieldTower) -> str:
-        enc = tower.element_hex
         data: dict = {"family": self.family, "m": self.m}
-        for name in ("r", "c", "I", "J", "k"):
+        for name, key in _JSON_KEYS.items():
             v = getattr(self, name)
             if v is not None:
-                data[name] = v
-        if self.a is not None:
-            data["a_hex"] = enc(self.a)
-        if self.b is not None:
-            data["b_hex"] = enc(self.b)
-        if self.coeffs is not None:
-            data["coeffs_hex"] = [enc(x) for x in self.coeffs]
+                data[key] = _map_elements(tower.element_hex, name, v)
         return json.dumps(data)
 
     @classmethod
     def from_json(cls, s: str, tower: FieldTower) -> "FamilyParams":
         """Inverse of to_json; an unknown key or an m other than the tower's raises."""
         data = json.loads(s)
-        unknown = sorted(set(data) - _PARAM_KEYS)
+        unknown = sorted(set(data) - {"family", "m", *_JSON_KEYS.values()})
         if unknown:
             raise ValueError(f"unknown family parameter keys {unknown}")
         if data["m"] != tower.m:
             raise ValueError(f"parameters are for m={data['m']}, tower has m={tower.m}")
         dec = tower.element_from_hex
-        return cls(
-            family=data["family"],
-            m=data["m"],
-            r=data.get("r"),
-            c=data.get("c"),
-            I=data.get("I"),
-            J=data.get("J"),
-            k=data.get("k"),
-            a=dec(data["a_hex"]) if "a_hex" in data else None,
-            b=dec(data["b_hex"]) if "b_hex" in data else None,
-            coeffs=tuple(dec(x) for x in data["coeffs_hex"]) if "coeffs_hex" in data else None,
-        )
+        values = {n: _map_elements(dec, n, data[k]) for n, k in _JSON_KEYS.items() if k in data}
+        return cls(data["family"], data["m"], **values)
+
+
+# The parameter fields after family and m, in JSON key order.  The field
+# elements a, b and coeffs (a tuple of them) are hex in JSON, under <name>_hex.
+_FIELDS = tuple(f.name for f in dataclasses.fields(FamilyParams))[2:]
+_ELEMENT_FIELDS = ("a", "b", "coeffs")
+_JSON_KEYS = {name: f"{name}_hex" if name in _ELEMENT_FIELDS else name for name in _FIELDS}
+
+
+def _map_elements(f: Callable, name: str, v):
+    """Field `name`'s value v with f applied to each field element in it."""
+    if name not in _ELEMENT_FIELDS:
+        return v
+    return tuple(map(f, v)) if name == "coeffs" else f(v)
 
 
 def build(tower: FieldTower, params: FamilyParams) -> TracePolynomial:
     """Dispatch a FamilyParams bundle to its registered constructor."""
+    if params.m != tower.m:
+        raise ValueError(f"parameters are for m={params.m}, tower has m={tower.m}")
     family = FAMILIES[params.family]
     family.check(params)
-    return family.build(tower, params)
+    return family.build(tower, **{name: getattr(params, name) for name in family.fields})

@@ -34,13 +34,12 @@ class OPolyMap:
         table = np.asarray(table, dtype=np.int64)
         if len(table) != 1 << self.m:
             raise ValueError(f"table must have 2^{self.m} entries, got {len(table)}")
-        if ((table < 0) | (table >= tower.size)).any() or not tower.tables.subfield_mask[table].all():
+        if ((table < 0) | (table >= tower.size)).any() or (tower.tables.subfield_index[table] < 0).any():
             raise ValueError("table values must lie in the subfield")
         table = table.copy()
         table.setflags(write=False)
         self.table = table
         self.terms = tuple((c, e) for c, e in terms)
-        self._verdict = None
 
     @classmethod
     def from_terms(cls, tower: FieldTower, terms) -> "OPolyMap":

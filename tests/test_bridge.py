@@ -86,6 +86,16 @@ def test_empty_ladder_when_l_is_m_minus_one(tower4):
     assert bool(rep)
 
 
+@pytest.mark.parametrize("m", range(2, 7))
+def test_midpoint_is_checked_unless_the_ladder_is_empty(m):
+    # slot 2^(m-l-2) exists for every l < m - 1, down to the two-slot ladder l = m - 2
+    tower = make_tower(m)
+    a = flagged(tower)
+    for d in range(1, 1 << m):
+        res = expand_monomial(tower, d, 1, a)
+        assert verify_coefficient_properties(tower, res).midpoint_skipped == (res.l == m - 1), d
+
+
 def test_expand_rejects_bad_inputs(tower4):
     a = flagged(tower4)
     with pytest.raises(ValueError):
@@ -128,7 +138,7 @@ def test_monomial_table_is_class_h_table(m):
     lams = [1, *(int(x) for x in rng.choice(sub[1:], 2))]
     bases = [flagged(tower)]
     if m == 3:  # every basis element off the subfield, the flagged one among them
-        bases = np.nonzero(~tower.tables.subfield_mask)[0].tolist()
+        bases = np.nonzero(tower.tables.subfield_index < 0)[0].tolist()
     for a in bases:
         for d in range(1, 1 << m):
             for lam in lams:
@@ -338,7 +348,7 @@ def test_bivariate_matches_line_oracle(m):
     tower = make_tower(m)
     rng = np.random.default_rng(100 + m)
     sub = tower.tables.subfield_elements
-    off = np.nonzero(~tower.tables.subfield_mask)[0]
+    off = np.nonzero(tower.tables.subfield_index < 0)[0]
     maps = [entry.to_map(tower) for entry in catalog(m)[:3]]
     maps.append(OPolyMap(tower, sub[rng.integers(0, len(sub), len(sub))]))
     for G in maps:

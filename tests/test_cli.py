@@ -315,6 +315,36 @@ def test_missing_field_cases_cover_the_registry():
     assert set(MISSING_FIELD) | {"lk"} == set(niho.FAMILIES)
 
 
+# one construct case per registry name: the fields it needs and some it does not take
+EXTRA_FIELD = {
+    "quadratic": (("--a", "01", "--r", "3", "--k", "9"), "r, k"),
+    "binomial_3": (("--b", "01", "--a", "01"), "a"),
+    "binomial_16": (("--b", "01", "--coeffs", "01"), "coeffs"),
+    "lk": (("--r", "2", "--a", "auto", "--c", "1"), "c"),
+    "lk_coeff": (("--r", "2", "--coeffs", "01,01", "--b", "01"), "b"),
+    "qu_family": (("--r", "6", "--c", "1", "--I", "2", "--J", "1", "--a", "auto", "--k", "4"), "k"),
+    "g_lk2": (("--J", "1", "--a", "auto", "--r", "6"), "r"),
+    "cubic_family": (("--I", "5", "--J", "2", "--a", "auto", "--r", "5"), "r"),
+    "cubic": (("--I", "5", "--J", "2", "--a", "auto", "--k", "4"), "k"),
+    "trinomial_sum": (("--k", "4", "--a", "auto", "--I", "5", "--J", "2"), "I, J"),
+    "trinomial": (("--k", "4", "--a", "auto", "--b", "01"), "b"),
+}
+
+
+@pytest.mark.parametrize("family", tuple(niho.FAMILIES))
+def test_extra_input_is_bad_input(tmp_path, capsys, family):
+    # a field the family does not take would be reported in params but never used
+    rest, extra = EXTRA_FIELD[family]
+    out_dir = tmp_path / "new"
+    code, out, err = run(
+        capsys, "construct", "--family", family, "--m", "7", *rest, "--out", str(out_dir),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: family {niho.FAMILIES[family].name} takes no parameter(s) {extra}\n"
+    assert not out_dir.exists()
+
+
 def test_construct_missing_param_leaves_no_out_dir(tmp_path, capsys):
     # the family parameters are checked before --a auto runs and --out is made
     out_dir = tmp_path / "new"
@@ -352,10 +382,14 @@ def test_construct_past_the_table_limit_leaves_no_out_dir(tmp_path, capsys):
         ("expand", "--m", "5", "--d", "6", "--lambda", ""),
         ("expand", "--m", "3", "--F", '[{"c":"","e":6}]'),
         ("opoly", "--m", "3", "--terms", '[{"c":"","e":6}]'),
+        ("construct", "--family", "lk", "--m", "5", "--r", "2", "--a", ""),
+        ("construct", "--family", "binomial_3", "--m", "5", "--b", ""),
+        ("construct", "--family", "lk_coeff", "--m", "5", "--r", "2", "--coeffs", ""),
     ],
     ids=[
         "construct_a", "construct_b", "construct_coeffs", "expand_lambda", "expand_F", "opoly_terms",
         "expand_lambda_empty", "expand_F_empty", "opoly_terms_empty",
+        "construct_a_empty", "construct_b_empty", "construct_coeffs_empty",
     ],
 )
 def test_malformed_hex_is_bad_input(tmp_path, monkeypatch, capsys, argv):

@@ -484,6 +484,15 @@ def test_family_params_from_json_rejects_stray_key_and_other_m():
         FamilyParams.from_json('{"family":"quadratic","m":5,"a_hex":"01"}', make_tower(4))
 
 
+def test_build_rejects_unused_field_and_other_m(tower5):
+    # a field the family does not take, or params for another m, would build a function
+    # that its params do not describe
+    with pytest.raises(ValueError, match=r"^family quadratic takes no parameter\(s\) r$"):
+        build(tower5, FamilyParams("quadratic", 5, a=1, r=3))
+    with pytest.raises(ValueError, match=r"^parameters are for m=7, tower has m=5$"):
+        build(tower5, FamilyParams("quadratic", 7, a=1))
+
+
 def test_build_dispatch_all_families(tower4):
     # every registry name, aliases included, reaches its own constructor
     a4 = unit_trace_element(tower4)
