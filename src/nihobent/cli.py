@@ -188,11 +188,16 @@ def cmd_opoly(args) -> int:
 def cmd_expand(args) -> int:
     if args.F is None and args.d is None:
         raise ValueError("expand needs --d or --F")
+    d_only = {"--lambda": args.lam is not None, "--check": args.check,
+              "--seed": args.seed is not None}
+    extra = [flag for flag, is_set in d_only.items() if is_set]
+    if args.F is not None and extra:
+        raise ValueError(f"{', '.join(extra)} cannot be used with --F, only with --d")
     t0 = time.perf_counter()
     tower = make_tower(args.m)
     a = _resolve_a(tower, args.a, require_primitive=True)
     lam = tower.element_from_hex(args.lam) if args.lam is not None else 1
-    rng = random.Random(args.seed)
+    rng = random.Random(DEFAULT_SEED if args.seed is None else args.seed)
     ok = True
     records = []
     if args.F is not None:
@@ -224,6 +229,14 @@ def cmd_expand(args) -> int:
                 "odd_index": props.odd_index_ok,
                 "all_nonzero": props.all_nonzero,
             }
+            for law, violations in (("conjugation", props.conjugation_violations),
+                                    ("odd_index", props.odd_index_violations)):
+                if violations:  # the law's first violation: c' and both sides of its equation
+                    c, lhs, rhs = violations[0]
+                    rec.setdefault("property_witnesses", {})[law] = {
+                        "cprime": c, "lhs_hex": tower.element_hex(lhs),
+                        "rhs_hex": tower.element_hex(rhs),
+                    }
             sub = tower.tables.subfield_elements
             rec["random_lambda_sweeps"] = [
                 pointwise_equal(
@@ -266,27 +279,30 @@ def cmd_tables(args) -> int:
             and (cell.degree is None or rec["measured_degree"] == cell.degree)
             and rec["matches_pipeline"]
         )
+        if not rec["matches_pipeline"]:  # the first z where the cell and the pipeline differ
+            i = int(np.flatnonzero(cellmap.table != pipe_map.table)[0])
+            rec["pipeline_witness"] = {
+                "z_hex": tower.element_hex(int(tower.tables.subfield_elements[i])),
+                "cell_hex": tower.element_hex(int(cellmap.table[i])),
+                "pipeline_hex": tower.element_hex(int(pipe_map.table[i])),
+            }
         return rec
 
     for row in opoly.equivalence_table(args.m):
-        entry = {"family": row.family, "cells": []}
-        g1map = opoly.OPolyMap.from_terms(tower, [(1, e) for e in row.g1.exponents])
-        g2_pipe = opoly.inverse_map(g1map)
-        g3_pipe = opoly.inverse_map(opoly.transform_zFinv(g2_pipe))
-        for label, cell, pipe_map in (
-            ("G1", row.g1, g1map),
-            ("G2", row.g2, g2_pipe),
-        ):
-            if not cell.exponents:
-                entry["cells"].append({"column": label, "note": cell.condition})
-                continue
-            entry["cells"].append(cell_record({"column": label}, cell, pipe_map))
-        for cell in row.g3_candidates:
-            rec = cell_record({"column": "G3", "condition": cell.condition}, cell, g3_pipe)
+        g1 = opoly.OPolyMap.from_terms(tower, [(1, e) for e in row.g1.exponents])
+        g2 = opoly.inverse_map(g1)
+        cells = [
+            cell_record({"column": label}, cell, pipe_map)
+            if cell.exponents
+            else {"column": label, "note": cell.condition}
+            for label, cell, pipe_map in (("G1", row.g1, g1), ("G2", row.g2, g2))
+        ]
+        if row.g3 is not None:
+            g3 = opoly.inverse_map(opoly.transform_zFinv(g2))
+            cells.append(cell_record({"column": "G3", "condition": row.g3.condition}, row.g3, g3))
             if row.ambiguous_g3:
-                rec["ambiguous"] = True
-            entry["cells"].append(rec)
-        rows_out.append(entry)
+                cells[-1]["ambiguous"] = True
+        rows_out.append({"family": row.family, "cells": cells})
     ok = all(cell.get("pass", True) for entry in rows_out for cell in entry["cells"])
     report = _report("tables", tower, t0, basis_a_hex=tower.element_hex(a), rows=rows_out)
     return _emit(report, ok)
@@ -353,7 +369,7 @@ def main(argv=None) -> int:
     p.add_argument("--lambda", dest="lam", help="subfield factor, little-endian hex")
     p.add_argument("--a", default="auto")
     p.add_argument("--check", action="store_true")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int)  # None: DEFAULT_SEED, so a given --seed can be told apart
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("tables", help="reproduce the equivalent-o-monomial table")

@@ -275,11 +275,22 @@ class FamilyParams:
 
     @classmethod
     def from_json(cls, s: str, tower: FieldTower) -> "FamilyParams":
-        """Inverse of to_json; an unknown key or an m other than the tower's raises."""
+        """Inverse of to_json; malformed input, an unknown key or another m raises ValueError."""
         data = json.loads(s)
+        if not isinstance(data, dict) or not {"family", "m"} <= data.keys():
+            raise ValueError('family parameters must be a JSON object with "family" and "m"')
         unknown = sorted(set(data) - {"family", "m", *_JSON_KEYS.values()})
         if unknown:
             raise ValueError(f"unknown family parameter keys {unknown}")
+        for key, v in data.items():
+            if key == "coeffs_hex":
+                ok = isinstance(v, list) and all(isinstance(h, str) for h in v)
+            elif key == "family" or key.endswith("_hex"):
+                ok = isinstance(v, str)
+            else:  # the integer fields, m included; JSON true/false are ints to Python
+                ok = isinstance(v, int) and not isinstance(v, bool)
+            if not ok:
+                raise ValueError(f"family parameter {key} has the wrong type: {json.dumps(v)}")
         if data["m"] != tower.m:
             raise ValueError(f"parameters are for m={data['m']}, tower has m={tower.m}")
         dec = tower.element_from_hex

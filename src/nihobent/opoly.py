@@ -7,8 +7,9 @@ encodings indexed by subfield position.
 
 The catalog holds every known o-monomial family (Frobenius, the five
 quadratic families, the cubic one) and the two o-trinomials, each with its
-validity predicate on m.  Verdicts always come from the exhaustive 2-to-1
-scan; the sparse terms are presentation only.
+validity predicate on m; the equivalent-o-monomial table reads its G1 cells
+from the catalog by name and holds at most one G3 per row.  Verdicts come
+from the exhaustive 2-to-1 scan; the sparse terms are presentation only.
 """
 
 from __future__ import annotations
@@ -181,69 +182,39 @@ class CatalogEntry:
     """One known o-polynomial family instantiated at a particular m."""
 
     name: str
-    m: int
     exponents: tuple[int, ...]  # monomial exponents; len > 1 means a trinomial
-    note: str = ""
 
     def to_map(self, tower: FieldTower) -> OPolyMap:
         return OPolyMap.from_terms(tower, [(1, e) for e in self.exponents])
-
-
-def _frac_exponent(num: int, den: int, m: int) -> int:
-    order = (1 << m) - 1
-    try:
-        return num * pow(den, -1, order) % order
-    except ValueError:
-        raise ValueError(f"{den} is not invertible modulo 2^{m} - 1") from None
 
 
 def catalog(m: int) -> list[CatalogEntry]:
     """Every catalog family whose validity predicate holds at m."""
     if m < 2:
         raise ValueError("catalog needs m >= 2")
-    entries: list[CatalogEntry] = []
-    for i in range(1, m):
-        if math.gcd(i, m) == 1:
-            entries.append(CatalogEntry(f"frobenius_2^{i}", m, (1 << i,), "linear"))
+    entries = [
+        CatalogEntry(f"frobenius_2^{i}", (1 << i,)) for i in range(1, m) if math.gcd(i, m) == 1
+    ]
     if m % 2 == 1:
-        entries.append(CatalogEntry("z^6", m, (6,), "quadratic, m odd"))
+        entries.append(CatalogEntry("z^6", (6,)))
     if m % 4 == 3:
         k = (m + 1) // 4
-        entries.append(
-            CatalogEntry("z^(2^2k+2^k)", m, ((1 << 2 * k) + (1 << k),), "quadratic, m = 4k-1")
-        )
-    if m % 4 == 1 and (m - 1) // 4 >= 1:
+        entries.append(CatalogEntry("z^(2^2k+2^k)", ((1 << 2 * k) + (1 << k),)))
+    if m % 4 == 1:  # m >= 5, so k >= 1
         k = (m - 1) // 4
-        entries.append(
-            CatalogEntry(
-                "z^(2^(3k+1)+2^(2k+1))", m, ((1 << (3 * k + 1)) + (1 << (2 * k + 1)),),
-                "quadratic, m = 4k+1",
-            )
-        )
+        e = (1 << (3 * k + 1)) + (1 << (2 * k + 1))
+        entries.append(CatalogEntry("z^(2^(3k+1)+2^(2k+1))", (e,)))
     if m % 2 == 1:
         k = (m + 1) // 2
-        entries.append(CatalogEntry("z^(2^k+2)", m, ((1 << k) + 2,), "quadratic, m = 2k-1"))
-        entries.append(
-            CatalogEntry(
-                "z^(2^(m-1)+2^(m-2))", m, ((1 << (m - 1)) + (1 << (m - 2)),),
-                "quadratic, m odd",
-            )
-        )
-        entries.append(CatalogEntry("z^(3*2^k+4)", m, (3 * (1 << k) + 4,), "cubic, m = 2k-1"))
-        entries.append(
-            CatalogEntry(
-                "trinomial_cubic", m,
-                ((1 << k), (1 << k) + 2, 3 * (1 << k) + 4),
-                "o-trinomial, m = 2k-1",
-            )
-        )
-        entries.append(
-            CatalogEntry(
-                "trinomial_sixth", m,
-                tuple(_frac_exponent(p, 6, m) for p in (1, 3, 5)),
-                "o-trinomial z^(1/6)+z^(1/2)+z^(5/6), m odd",
-            )
-        )
+        order = (1 << m) - 1
+        sixth = pow(6, -1, order)  # 6 is a unit modulo 2^m - 1 when m is odd
+        entries += [
+            CatalogEntry("z^(2^k+2)", ((1 << k) + 2,)),
+            CatalogEntry("z^(2^(m-1)+2^(m-2))", ((1 << (m - 1)) + (1 << (m - 2)),)),
+            CatalogEntry("z^(3*2^k+4)", (3 * (1 << k) + 4,)),
+            CatalogEntry("trinomial_cubic", ((1 << k), (1 << k) + 2, 3 * (1 << k) + 4)),
+            CatalogEntry("trinomial_sixth", tuple(p * sixth % order for p in (1, 3, 5))),
+        ]
     return entries
 
 
@@ -262,10 +233,9 @@ class TableCell:
 @dataclass(frozen=True)
 class TableRow:
     family: str
-    m: int
     g1: TableCell
     g2: TableCell
-    g3_candidates: tuple[TableCell, ...] = ()
+    g3: TableCell | None = None
     ambiguous_g3: bool = False
 
 
@@ -276,123 +246,119 @@ def _bitsum(lo: int, hi: int, f) -> int:
 def equivalence_table(m: int) -> list[TableRow]:
     """Rows of the equivalent-o-monomial table instantiated at m.
 
-    G2 = G1^(-1) and G3 = (z G2(1/z))^(-1); the explicit G3 binary
-    expansions are stored as data and cross-checked elsewhere.  Where the
-    footnote parity conditions are ambiguous both candidates are carried.
+    G1 is read from catalog(m) by entry name, G2 = G1^(-1) and
+    G3 = (z G2(1/z))^(-1).  Each row's existence test on m, its G2 and G3
+    binary expansions and its degrees are the paper's claims, stored as data
+    and cross-checked elsewhere.  Each row has at most one G3: the footnote
+    parity conditions pick one expansion at each m, or none.
     """
-    rows: list[TableRow] = []
-    if m % 2 == 1 and m >= 3:
-        k = (m + 1) // 2
-        rows.append(
-            TableRow(
-                "frobenius_2k-1", m,
-                TableCell((1 << k,), k),
-                TableCell((1 << (k - 1),), k + 1),
-                (TableCell(((1 << k) + 2,), m),),
-            )
+    if m % 2 == 0 or m < 3:
+        return []
+    g1 = {entry.name: entry.exponents for entry in catalog(m)}
+    k = (m + 1) // 2
+    rows = [
+        TableRow(
+            "frobenius_2k-1",
+            TableCell(g1[f"frobenius_2^{k}"], k),
+            TableCell((1 << (k - 1),), k + 1),
+            TableCell(g1["z^(2^k+2)"], m),
         )
-        g2 = _bitsum(0, (m - 3) // 2, lambda i: 2 * i + 1) + (1 << (m - 1))
-        if m % 4 == 1:
-            k4 = (m - 1) // 4
-            g3 = TableCell(
-                (2 + _bitsum(1, k4, lambda i: 4 * i) + _bitsum(1, k4, lambda i: 4 * i - 1),),
-                m, "m = 4k+1",
-            )
-        else:
-            k4 = (m - 3) // 4
-            g3 = TableCell(
-                (4 + _bitsum(1, k4, lambda i: 4 * i) + _bitsum(1, k4, lambda i: 4 * i + 1),),
-                m - 1, "m = 4k+3",
-            )
-        rows.append(TableRow("z6", m, TableCell((6,), m), TableCell((g2,), m), (g3,)))
+    ]
+    g2 = _bitsum(0, (m - 3) // 2, lambda i: 2 * i + 1) + (1 << (m - 1))
+    if m % 4 == 1:
+        k4 = (m - 1) // 4
+        g3 = TableCell(
+            (2 + _bitsum(1, k4, lambda i: 4 * i) + _bitsum(1, k4, lambda i: 4 * i - 1),),
+            m, "m = 4k+1",
+        )
+    else:
+        k4 = (m - 3) // 4
+        g3 = TableCell(
+            (4 + _bitsum(1, k4, lambda i: 4 * i) + _bitsum(1, k4, lambda i: 4 * i + 1),),
+            m - 1, "m = 4k+3",
+        )
+    rows.append(TableRow("z6", TableCell(g1["z^6"], m), TableCell((g2,), m), g3))
     if m % 4 == 3:
         k = (m + 1) // 4
-        cands = []
+        g3 = None  # at k = 1 (m = 3) neither footnote condition holds
         if k > 1 and k % 2 == 1:
             e = (
                 2
                 + _bitsum(1, (k - 1) // 2, lambda i: 2 * i)
                 + _bitsum((k - 1) // 2, (3 * k - 3) // 2, lambda i: 2 * i + 1)
             )
-            cands.append(TableCell((e,), m, "k > 1 odd"))
-        if k > 0 and k % 2 == 0:
+            g3 = TableCell((e,), m, "k > 1 odd")
+        elif k % 2 == 0:
             e = (
                 (1 << k)
                 + _bitsum(k // 2, (3 * k - 2) // 2, lambda i: 2 * i + 1)
                 + _bitsum(3 * k // 2, 2 * k - 1, lambda i: 2 * i)
             )
-            cands.append(TableCell((e,), 3 * k, "k > 0 even"))
+            g3 = TableCell((e,), 3 * k, "k > 0 even")
         rows.append(
             TableRow(
-                "quad_4k-1", m,
-                TableCell(((1 << 2 * k) + (1 << k),), 3 * k),
+                "quad_4k-1",
+                TableCell(g1["z^(2^2k+2^k)"], 3 * k),
                 TableCell(((1 << m) - (1 << (3 * k - 1)) + (1 << 2 * k) - (1 << k),), 3 * k),
-                tuple(cands),
+                g3,
                 ambiguous_g3=True,
             )
         )
-    if m % 4 == 1 and (m - 1) // 4 >= 1:
+    if m % 4 == 1:
         k = (m - 1) // 4
-        cands = []
         if k % 2 == 1:
             e = (
                 (1 << (k + 1))
                 + _bitsum((k + 1) // 2, (3 * k - 1) // 2, lambda i: 2 * i + 1)
                 + _bitsum((3 * k + 1) // 2, 2 * k, lambda i: 2 * i)
             )
-            cands.append(TableCell((e,), 3 * k + 1, "k odd"))
+            g3 = TableCell((e,), 3 * k + 1, "k odd")
         else:
             e = (
                 2
                 + _bitsum(1, k // 2, lambda i: 2 * i)
                 + _bitsum(k // 2, (3 * k - 2) // 2, lambda i: 2 * i + 1)
             )
-            cands.append(TableCell((e,), m, "k even"))
+            g3 = TableCell((e,), m, "k even")
         rows.append(
             TableRow(
-                "quad_4k+1", m,
-                TableCell(((1 << (3 * k + 1)) + (1 << (2 * k + 1)),), 2 * k + 1),
+                "quad_4k+1",
+                TableCell(g1["z^(2^(3k+1)+2^(2k+1))"], 2 * k + 1),
                 TableCell(((1 << m) - (1 << (3 * k + 1)) + (1 << (2 * k + 1)) - (1 << k),), 3 * k + 2),
-                tuple(cands),
+                g3,
                 ambiguous_g3=True,
             )
         )
-    if m % 2 == 1 and m >= 3:
-        k = (m + 1) // 2
-        if k > 2:  # at k = 2 (m = 3), z^(3*2^k+4) = z^16 = z^2 is a Frobenius map
-            cands = []
-            if k % 2 == 1:
-                e = (1 << k) + _bitsum((k + 1) // 2, k - 1, lambda i: 2 * i)
-                cands.append(TableCell((e,), k, "k odd"))
-            else:
-                e = 2 + _bitsum(1, (k - 2) // 2, lambda i: 2 * i)
-                cands.append(TableCell((e,), m, "k > 2 even"))
-            rows.append(
-                TableRow(
-                    "cubic", m,
-                    TableCell((3 * (1 << k) + 4,), m - 1),
-                    TableCell((3 * (1 << (k - 1)) - 2,), m),
-                    tuple(cands),
-                    ambiguous_g3=True,
-                )
-            )
-            # trinomial rows: explicit G2 for the cubic trinomial
-            rows.append(
-                TableRow(
-                    "trinomial_cubic", m,
-                    TableCell(((1 << k), (1 << k) + 2, 3 * (1 << k) + 4), m, "k > 2"),
-                    TableCell((), m, "z (z^(2^k+1) + z^3 + z)^(2^(k-1)-1)"),
-                )
-            )
+    k = (m + 1) // 2
+    if k > 2:  # at k = 2 (m = 3), z^(3*2^k+4) = z^16 = z^2 is a Frobenius map
+        if k % 2 == 1:
+            g3 = TableCell(((1 << k) + _bitsum((k + 1) // 2, k - 1, lambda i: 2 * i),), k, "k odd")
+        else:
+            g3 = TableCell((2 + _bitsum(1, (k - 2) // 2, lambda i: 2 * i),), m, "k > 2 even")
         rows.append(
             TableRow(
-                "trinomial_sixth", m,
-                TableCell(
-                    tuple(_frac_exponent(p, 6, m) for p in (1, 3, 5)), m, "m odd"
-                ),
-                TableCell((), None, "G2 = G1^(-1), unlisted"),
+                "cubic",
+                TableCell(g1["z^(3*2^k+4)"], m - 1),
+                TableCell((3 * (1 << (k - 1)) - 2,), m),
+                g3,
+                ambiguous_g3=True,
             )
         )
+        # trinomial rows: explicit G2 for the cubic trinomial
+        rows.append(
+            TableRow(
+                "trinomial_cubic",
+                TableCell(g1["trinomial_cubic"], m),
+                TableCell((), m, "z (z^(2^k+1) + z^3 + z)^(2^(k-1)-1)"),
+            )
+        )
+    rows.append(
+        TableRow(
+            "trinomial_sixth",
+            TableCell(g1["trinomial_sixth"], m),
+            TableCell((), None, "G2 = G1^(-1), unlisted"),
+        )
+    )
     return rows
 
 

@@ -141,10 +141,10 @@ def measured_degrees(tower, a, row):
             F = OPolyMap.from_terms(tower, [(1, e) for e in cell.exponents])
             out[label] = algebraic_degree(evaluate(tower, opoly_to_univariate(tower, F, a)))
     out["G3"] = []
-    for cell in row.g3_candidates:
-        F = OPolyMap.from_terms(tower, [(1, e) for e in cell.exponents])
+    if row.g3 is not None:
+        F = OPolyMap.from_terms(tower, [(1, e) for e in row.g3.exponents])
         deg = algebraic_degree(evaluate(tower, opoly_to_univariate(tower, F, a)))
-        out["G3"].append((cell.condition, deg, cell.degree))
+        out["G3"].append((row.g3.condition, deg, row.g3.degree))
     return out
 
 

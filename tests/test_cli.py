@@ -11,6 +11,7 @@ import pytest
 from conftest import spectrum_csv_oracle, spectrum_json_oracle
 from nihobent import (
     algebraic_degree,
+    bridge,
     is_bent,
     make_tower,
     niho,
@@ -127,6 +128,35 @@ def test_expand_check(capsys):
     assert all(res["random_lambda_sweeps"])
 
 
+def test_expand_check_reports_a_law_witness(capsys, monkeypatch):
+    # a passing check carries no witness
+    code, out, _ = run(capsys, "expand", "--m", "5", "--d", "6", "--check")
+    assert code == 0 and "property_witnesses" not in json.loads(out)["results"][0]
+    # flipping the ladder coefficients c' = 1 and 3 breaks the conjugation and odd-index
+    # laws at both; each witness is the first violation, c' = 1
+    real = bridge.expand_monomial
+    flipped = []
+
+    def with_flipped_coefficients(tower, d, lam, a):
+        res = real(tower, d, lam, a)
+        A = list(res.coeffs)
+        A[0] ^= 1
+        A[2] ^= 1
+        flipped.append(A[0])
+        return dataclasses.replace(res, coeffs=tuple(A))
+
+    monkeypatch.setattr(bridge, "expand_monomial", with_flipped_coefficients)
+    code, out, _ = run(capsys, "expand", "--m", "5", "--d", "6", "--check")
+    assert code == 1
+    res = json.loads(out)["results"][0]
+    assert res["properties"]["conjugation"] is False and res["properties"]["odd_index"] is False
+    witnesses = res["property_witnesses"]
+    assert set(witnesses) == {"conjugation", "odd_index"}
+    assert all(w["cprime"] == 1 and w["lhs_hex"] != w["rhs_hex"] for w in witnesses.values())
+    # the odd-index law's left side is the coefficient itself
+    assert witnesses["odd_index"]["lhs_hex"] == make_tower(5).element_hex(flipped[0])
+
+
 def test_expand_rejects_d_zero(capsys):
     code, _, err = run(capsys, "expand", "--m", "4", "--d", "0")
     assert code == 2
@@ -189,10 +219,8 @@ def test_tables_wrong_ambiguous_g3_fails(capsys, monkeypatch):
         rows = real(m)
         i = next(i for i, row in enumerate(rows) if row.family == "cubic")
         row = rows[i]
-        wrong = dataclasses.replace(
-            row.g3_candidates[0], exponents=row.g1.exponents, degree=row.g1.degree
-        )
-        rows[i] = dataclasses.replace(row, g3_candidates=(wrong,))
+        wrong = dataclasses.replace(row.g3, exponents=row.g1.exponents, degree=row.g1.degree)
+        rows[i] = dataclasses.replace(row, g3=wrong)
         return rows
 
     monkeypatch.setattr(opoly, "equivalence_table", with_wrong_g3)
@@ -204,6 +232,16 @@ def test_tables_wrong_ambiguous_g3_fails(capsys, monkeypatch):
     cell = failed[0][1]
     assert cell["ambiguous"] and cell["bent"] and not cell["matches_pipeline"]
     assert cell["measured_degree"] == cell["expected_degree"]
+    # the witness is the first z where the cell's map (here G1's) and the pipeline's G3 differ
+    tower = make_tower(5)
+    cellmap = opoly.OPolyMap.from_terms(tower, [(1, e) for e in cell["exponents"]])
+    g3 = opoly.inverse_map(opoly.transform_zFinv(opoly.inverse_map(cellmap)))
+    z = next(int(z) for z in tower.tables.subfield_elements if cellmap(int(z)) != g3(int(z)))
+    assert cell["pipeline_witness"] == {
+        "z_hex": tower.element_hex(z),
+        "cell_hex": tower.element_hex(cellmap(z)),
+        "pipeline_hex": tower.element_hex(g3(z)),
+    }
 
 
 def test_walsh_roundtrip(tmp_path, capsys):
@@ -430,6 +468,16 @@ def test_expand_rejects_both_d_and_F(capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert "not allowed with" in out.err
+
+
+@pytest.mark.parametrize(
+    "extra", [("--lambda", "03"), ("--check",), ("--seed", "0")], ids=lambda e: e[0]
+)
+def test_expand_F_rejects_options_of_d(capsys, extra):
+    # --lambda, --check and --seed apply to --d only; with --F they were silently ignored
+    code, out, err = run(capsys, "expand", "--m", "5", "--F", '[{"c":"01","e":6}]', *extra)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1 and extra[0] in err
 
 
 def test_unwritable_out_is_bad_input(tmp_path, capsys):

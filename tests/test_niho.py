@@ -484,6 +484,24 @@ def test_family_params_from_json_rejects_stray_key_and_other_m():
         FamilyParams.from_json('{"family":"quadratic","m":5,"a_hex":"01"}', make_tower(4))
 
 
+@pytest.mark.parametrize(
+    "doc, match",
+    [
+        ('{"family":"quadratic","m":5,"a_hex":5}', "a_hex"),
+        ('{"m":5}', '"family" and "m"'),
+        ('{"family":"lk_coeff","m":5,"r":2,"coeffs_hex":"0103"}', "coeffs_hex"),
+        ("[1]", "JSON object"),
+        ('{"family":"lk","m":5,"r":"2","a_hex":"01"}', "parameter r "),
+        ('{"family":"lk","m":5,"r":true,"a_hex":"01"}', "parameter r "),
+    ],
+    ids=["hex_not_string", "no_family", "coeffs_not_list", "not_object", "r_string", "r_bool"],
+)
+def test_family_params_from_json_rejects_malformed_input(tower5, doc, match):
+    # each raised TypeError or KeyError, or was misread, before from_json checked types
+    with pytest.raises(ValueError, match=match):
+        FamilyParams.from_json(doc, tower5)
+
+
 def test_build_rejects_unused_field_and_other_m(tower5):
     # a field the family does not take, or params for another m, would build a function
     # that its params do not describe

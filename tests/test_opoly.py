@@ -257,9 +257,39 @@ def test_composition_identity_g3(m):
         if row.g2.exponents:
             assert G2 == OPolyMap.from_terms(tower, [(1, e) for e in row.g2.exponents]), row.family
         G3 = inverse_map(transform_zFinv(G2))
-        for cell in row.g3_candidates:
-            claimed = OPolyMap.from_terms(tower, [(1, e) for e in cell.exponents])
-            assert (claimed == G3) or row.ambiguous_g3, (row.family, cell)
+        if row.g3 is not None:
+            claimed = OPolyMap.from_terms(tower, [(1, e) for e in row.g3.exponents])
+            assert claimed == G3, (row.family, row.g3)
+
+
+def test_table_expansions_invert_at_every_odd_m():
+    # integer-only, no tower: each G1 is its catalog entry, G2 = d^-1 and G3 = (1 - d2)^-1
+    # modulo 2^m - 1, for every odd m from 3 to 61
+    for m in range(3, 62, 2):
+        order = (1 << m) - 1
+        entries = {e.name: e.exponents for e in catalog(m)}
+        g1_entry = {
+            "frobenius_2k-1": f"frobenius_2^{(m + 1) // 2}",
+            "z6": "z^6",
+            "quad_4k-1": "z^(2^2k+2^k)",
+            "quad_4k+1": "z^(2^(3k+1)+2^(2k+1))",
+            "cubic": "z^(3*2^k+4)",
+            "trinomial_cubic": "trinomial_cubic",
+            "trinomial_sixth": "trinomial_sixth",
+        }
+        rows = equivalence_table(m)
+        assert len(rows) == (6 if m > 3 else 4), m
+        for row in rows:
+            assert row.g1.exponents == entries[g1_entry[row.family]], (m, row.family)
+            if len(row.g1.exponents) > 1:
+                continue
+            (d,), (d2,) = row.g1.exponents, row.g2.exponents
+            assert d * d2 % order == 1, (m, row.family)
+            if (m, row.family) == (3, "quad_4k-1"):  # no footnote condition holds at k = 1
+                assert row.g3 is None
+                continue
+            (d3,) = row.g3.exponents
+            assert d3 * (1 - d2) % order == 1, (m, row.family)
 
 
 def test_table2_explicit_g2():
@@ -276,12 +306,12 @@ def test_equivalence_table_row_shapes():
     assert rows["frobenius_2k-1"].g1.exponents == (8,)
     assert rows["frobenius_2k-1"].g2.degree == 4
     assert rows["z6"].g2.exponents == (26,)
-    assert rows["quad_4k+1"].g3_candidates[0].exponents == (28,)
+    assert rows["quad_4k+1"].g3.exponents == (28,)
     assert rows["cubic"].g2.exponents == (10,)
     rows7 = {r.family: r for r in equivalence_table(7)}
     assert rows7["quad_4k-1"].g2.exponents == (108,)
     assert rows7["cubic"].g1.exponents == (52,)
-    assert rows7["cubic"].g3_candidates[0].exponents == (6,)
+    assert rows7["cubic"].g3.exponents == (6,)
 
 
 def test_table_values_stay_in_subfield(tower3, tower4):
